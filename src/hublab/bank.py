@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MODALITIES, MODALITY_GALLERY, MODALITY_QUERY, EmbeddingSet
+from .core import MODALITIES, EmbeddingSet, opposite
 from .errors import BatchTooLarge, DimensionMismatch, EmptyBank, NonPositiveKappa
 
 KIND_INTRA = "intra"
@@ -60,9 +60,6 @@ class MemoryBank:
         view.flags.writeable = False
         return view
 
-    def _opposite(self, modality: str) -> str:
-        return MODALITY_GALLERY if modality == MODALITY_QUERY else MODALITY_QUERY
-
 
 def push_batch(bank: MemoryBank, batch: EmbeddingSet) -> MemoryBank:
     """Append a batch to its modality queue, evicting the oldest overflow."""
@@ -96,7 +93,7 @@ def intra_centrality(bank: MemoryBank, samples: EmbeddingSet) -> CentralityVecto
 
 def cross_centrality(bank: MemoryBank, samples: EmbeddingSet) -> CentralityVector:
     """Mean cosine of each sample to the opposite-modality queue."""
-    return _centrality(bank._slots[bank._opposite(samples.modality)], samples, KIND_CROSS)
+    return _centrality(bank._slots[opposite(samples.modality)], samples, KIND_CROSS)
 
 
 def centrality_weights(c: CentralityVector, kappa: float,

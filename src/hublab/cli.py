@@ -55,12 +55,18 @@ def _resolved(args, **overrides) -> dict:
 
 
 def _load_labels(path, shape) -> RelevanceLabels:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read labels {path}: {exc}") from exc
     pairs = doc.get("pairs") if isinstance(doc, dict) else doc
     if pairs is None:
         raise ConfigError(f"{path}: expected a 'pairs' list")
     source = doc.get("source", "ground-truth") if isinstance(doc, dict) else "ground-truth"
-    return RelevanceLabels.from_pairs(pairs, shape, source)
+    try:
+        return RelevanceLabels.from_pairs(pairs, shape, source)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad label pairs: {exc}") from exc
 
 
 def cmd_analyze(args) -> Path:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -18,32 +20,15 @@ from .trainer import TrainConfig
 
 FORMAT_VERSION = 1
 
+
+def _key(field_name: str) -> str:
+    """The config key of a TrainConfig field: its own name, but k for report_k."""
+    return "k" if field_name == "report_k" else field_name
+
+
 DEFAULTS: dict = {
-    # training
-    "kappa": 0.1,
-    "beta": 0.5,
-    "epsilon_sinkhorn": 0.05,
-    "sinkhorn_tol": 1e-6,
-    "sinkhorn_max_iter": 2000,
-    "temperature": 1.0,
-    "k_neighbors": 20,
-    "bank_capacity": 10240,
-    "learning_rate": 1e-3,
-    "epochs": 10,
-    "batch_size": 128,
-    "seed": 0,
-    "grad_mode": "exact",
-    "normalize_weights": True,
-    "model": "embedding-table",
-    "use_wti": True,
-    "use_nbi": True,
-    "use_opt": True,
-    "use_kl": True,
-    "neighbor_pool": "batch",
-    # metrics
-    "k": 15,
-    "hub_size_factor": 2.0,
-    "atkinson_epsilon": 0.5,
+    # training, and the hubness report it writes
+    **{_key(f.name): f.default for f in fields(TrainConfig)},
     "probe_threshold": 0.5,
     # synthetic data
     "n_pairs": 1000,
@@ -61,33 +46,33 @@ DEFAULTS: dict = {
     "bank": None,
 }
 
-_PATH_KEYS = ("queries", "galleries", "texts", "labels", "bank")
-_STRING_KEYS = ("grad_mode", "model", "neighbor_pool", "mode")
-_BOOL_KEYS = ("normalize_weights", "use_wti", "use_nbi", "use_opt", "use_kl")
-_INT_KEYS = ("sinkhorn_max_iter", "k_neighbors", "bank_capacity", "epochs",
-             "batch_size", "seed", "k", "n_pairs", "dim")
+_TYPE_NAMES = {str: "a string", bool: "a boolean", int: "an integer"}
 
 
 def _check_type(key: str, value):
-    if key in _PATH_KEYS:
+    """Check ``value`` against the type of the key's default. Path keys
+    (default None) take a string or null; float keys take any finite
+    number and store it as a float."""
+    default = DEFAULTS[key]
+    if default is None:
         if value is not None and not isinstance(value, str):
             raise ConfigError(f"{key} must be a path string or null")
         return value
-    if key in _STRING_KEYS:
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a string")
-        return value
-    if key in _BOOL_KEYS:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key} must be a boolean")
-        return value
-    if key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number")
-    return float(value)
+    kind = type(default)
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{key} must be a number")
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{key} must be a finite number, got {value}")
+        return number
+    # bool is a subclass of int, so an integer key must reject True/False
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}")
+    return value
 
 
 def load_config_file(path) -> dict:
@@ -109,7 +94,7 @@ def resolve_config(file_config: dict | None = None,
         for key, value in source.items():
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
-            if value is None and key not in _PATH_KEYS:
+            if value is None and DEFAULTS[key] is not None:
                 continue
             resolved[key] = _check_type(key, value)
     return resolved
@@ -122,28 +107,4 @@ def config_digest(command: str, resolved: dict) -> str:
 
 
 def train_config_from(resolved: dict) -> TrainConfig:
-    return TrainConfig(
-        kappa=resolved["kappa"],
-        beta=resolved["beta"],
-        epsilon_sinkhorn=resolved["epsilon_sinkhorn"],
-        sinkhorn_tol=resolved["sinkhorn_tol"],
-        sinkhorn_max_iter=resolved["sinkhorn_max_iter"],
-        temperature=resolved["temperature"],
-        k_neighbors=resolved["k_neighbors"],
-        bank_capacity=resolved["bank_capacity"],
-        learning_rate=resolved["learning_rate"],
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch_size"],
-        seed=resolved["seed"],
-        grad_mode=resolved["grad_mode"],
-        normalize_weights=resolved["normalize_weights"],
-        model=resolved["model"],
-        use_wti=resolved["use_wti"],
-        use_nbi=resolved["use_nbi"],
-        use_opt=resolved["use_opt"],
-        use_kl=resolved["use_kl"],
-        neighbor_pool=resolved["neighbor_pool"],
-        report_k=resolved["k"],
-        hub_size_factor=resolved["hub_size_factor"],
-        atkinson_epsilon=resolved["atkinson_epsilon"],
-    )
+    return TrainConfig(**{f.name: resolved[_key(f.name)] for f in fields(TrainConfig)})

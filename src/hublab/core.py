@@ -17,6 +17,12 @@ MODALITY_QUERY = "query"
 MODALITY_GALLERY = "gallery"
 MODALITIES = (MODALITY_QUERY, MODALITY_GALLERY)
 
+
+def opposite(modality: str) -> str:
+    """The other modality: gallery for query, query for gallery."""
+    return MODALITY_GALLERY if modality == MODALITY_QUERY else MODALITY_QUERY
+
+
 _NORM_FLOOR = 1e-12
 
 
@@ -84,9 +90,6 @@ class SimilarityMatrix:
     @property
     def m(self) -> int:
         return self.scores.shape[1]
-
-    def transposed(self) -> "SimilarityMatrix":
-        return SimilarityMatrix(self.scores.T.copy(), self.temperature)
 
 
 def row_norms(data: np.ndarray) -> np.ndarray:

@@ -84,7 +84,11 @@ class RelevanceLabels:
     def from_pairs(cls, pairs, shape, source: str = "ground-truth") -> "RelevanceLabels":
         matrix = np.zeros(shape, dtype=bool)
         for i, j in pairs:
-            matrix[int(i), int(j)] = True
+            i, j = int(i), int(j)
+            # a negative index would silently wrap around
+            if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+                raise IndexError(f"pair ({i}, {j}) outside the {shape[0]}x{shape[1]} grid")
+            matrix[i, j] = True
         return cls(matrix, source)
 
     def to_pairs(self) -> list:

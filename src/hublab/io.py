@@ -68,7 +68,10 @@ def write_embeddings(path, data: np.ndarray, modality: str,
 def read_embeddings(path) -> tuple[np.ndarray, str, dict]:
     """Read an embedding file; returns (float32 array, modality, meta dict)."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from exc
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: too short for a header")
     magic, version, n, d, modality_code, reserved = _HEADER.unpack_from(raw)
@@ -84,10 +87,17 @@ def read_embeddings(path) -> tuple[np.ndarray, str, dict]:
     if len(raw) != expected:
         raise FormatError(f"{path}: length {len(raw)} != expected {expected}")
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n, d)
+    if not np.isfinite(data).all():
+        raise FormatError(f"{path}: payload holds non-finite values")
     meta = {}
     side = sidecar_path(path)
     if side.exists():
-        meta = json.loads(side.read_text())
+        try:
+            meta = json.loads(side.read_text())
+        except (OSError, ValueError) as exc:
+            raise FormatError(f"{side}: unreadable sidecar: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise FormatError(f"{side}: sidecar must be a JSON object")
     return data.copy(), _CODE_MODALITY[modality_code], meta
 
 
@@ -96,8 +106,11 @@ def read_embedding_set(path) -> EmbeddingSet:
     data, modality, meta = read_embeddings(path)
     if data.shape[0] == 0:
         raise FormatError(f"{path}: file holds no rows")
-    return EmbeddingSet(data, modality,
-                        ids=meta.get("ids"), labels=meta.get("labels"))
+    try:
+        return EmbeddingSet(data, modality,
+                            ids=meta.get("ids"), labels=meta.get("labels"))
+    except (TypeError, ValueError) as exc:  # sidecar ids/labels of the wrong length
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_embedding_set(path, e: EmbeddingSet) -> Path:

@@ -15,7 +15,7 @@ memory bank, then held fixed while the loss is differentiated.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,14 +33,15 @@ from .core import (
     SimilarityMatrix,
     cosine_similarity_matrix,
     l2_normalize,
+    opposite,
 )
 from .errors import DivergenceDetected, InvalidFraction
 from .hubness import HubnessReport, RelevanceLabels, hubness_report
 from .losses import (
     GRAD_MODE_EXACT,
     GRAD_MODE_PAPER,
+    LOSS_PARTS,
     LossBundle,
-    NeighborSet,
     loss_kl,
     loss_nbi,
     loss_wti,
@@ -56,7 +57,7 @@ MODEL_PROJECTION = "linear-projection"
 POOL_BATCH = "batch"
 POOL_BANK = "bank"
 
-CURVE_COLUMNS = ("step", "total", "wti", "nbi", "opt", "kl",
+CURVE_COLUMNS = ("step", "total", *LOSS_PARTS,
                  "sinkhorn_residual", "sinkhorn_iterations")
 
 
@@ -189,95 +190,72 @@ def synth_generate(n_pairs: int, d: int, hub_fraction: float,
     )
 
 
-class _TableModel:
-    """One learnable vector per sample, renormalized after every step."""
+class _Model:
+    """Unit-normalized query and gallery embeddings over raw rows.
 
-    def __init__(self, queries: EmbeddingSet, galleries: EmbeddingSet):
-        self.table_q = l2_normalize(queries).data.copy()
-        self.table_g = l2_normalize(galleries).data.copy()
+    Subclasses supply the raw rows (``_raw``), the parameter gradients
+    from dL/d(raw rows) (``_param_grads``) and any renormalization of the
+    parameters after a step (``postprocess``).
+    """
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [self.table_q, self.table_g]
+    params: list
 
-    def forward(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        eq = self.table_q[idx]
-        eq = eq / np.linalg.norm(eq, axis=1, keepdims=True)
-        eg = self.table_g[idx]
-        eg = eg / np.linalg.norm(eg, axis=1, keepdims=True)
+    def forward(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        eq, eg = (raw / np.linalg.norm(raw, axis=1, keepdims=True)
+                  for raw in self._raw(idx))
         return eq, eg
 
     def full_embeddings(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.table_q / np.linalg.norm(self.table_q, axis=1, keepdims=True)
-        g = self.table_g / np.linalg.norm(self.table_g, axis=1, keepdims=True)
-        return q, g
+        return self.forward(slice(None))
 
     def backward(self, idx, eq, eg, grad_s, extra_q=None, extra_g=None):
-        d_eq = grad_s @ eg
-        if extra_q is not None:
-            d_eq = d_eq + extra_q
-        d_eg = grad_s.T @ eq
-        if extra_g is not None:
-            d_eg = d_eg + extra_g
-        norm_q = np.linalg.norm(self.table_q[idx], axis=1, keepdims=True)
-        norm_g = np.linalg.norm(self.table_g[idx], axis=1, keepdims=True)
-        gq_rows = (d_eq - (d_eq * eq).sum(axis=1, keepdims=True) * eq) / norm_q
-        gg_rows = (d_eg - (d_eg * eg).sum(axis=1, keepdims=True) * eg) / norm_g
-        gq = np.zeros_like(self.table_q)
-        gg = np.zeros_like(self.table_g)
-        gq[idx] = gq_rows
-        gg[idx] = gg_rows
-        return [gq, gg]
-
-    def postprocess(self):
-        self.table_q /= np.linalg.norm(self.table_q, axis=1, keepdims=True)
-        self.table_g /= np.linalg.norm(self.table_g, axis=1, keepdims=True)
-
-
-class _ProjectionModel:
-    """Shared-dimension linear heads over frozen features, one per modality."""
-
-    def __init__(self, queries: EmbeddingSet, galleries: EmbeddingSet):
-        self.feat_q = queries.data.copy()
-        self.feat_g = galleries.data.copy()
-        d = queries.dim
-        self.w_q = np.eye(d)
-        self.w_g = np.eye(d)
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [self.w_q, self.w_g]
-
-    def _embed(self, feats, w):
-        raw = feats @ w
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        return raw / norms, norms
-
-    def forward(self, idx):
-        eq, _ = self._embed(self.feat_q[idx], self.w_q)
-        eg, _ = self._embed(self.feat_g[idx], self.w_g)
-        return eq, eg
-
-    def full_embeddings(self):
-        eq, _ = self._embed(self.feat_q, self.w_q)
-        eg, _ = self._embed(self.feat_g, self.w_g)
-        return eq, eg
-
-    def backward(self, idx, eq, eg, grad_s, extra_q=None, extra_g=None):
-        d_eq = grad_s @ eg
-        if extra_q is not None:
-            d_eq = d_eq + extra_q
-        d_eg = grad_s.T @ eq
-        if extra_g is not None:
-            d_eg = d_eg + extra_g
-        _, norm_q = self._embed(self.feat_q[idx], self.w_q)
-        _, norm_g = self._embed(self.feat_g[idx], self.w_g)
-        d_raw_q = (d_eq - (d_eq * eq).sum(axis=1, keepdims=True) * eq) / norm_q
-        d_raw_g = (d_eg - (d_eg * eg).sum(axis=1, keepdims=True) * eg) / norm_g
-        return [self.feat_q[idx].T @ d_raw_q, self.feat_g[idx].T @ d_raw_g]
+        """Parameter gradients from dL/dS, plus any direct gradients on the
+        embeddings, through the row normalization of ``forward``."""
+        d_raw = []
+        for d_e, e, extra, raw in zip((grad_s @ eg, grad_s.T @ eq), (eq, eg),
+                                      (extra_q, extra_g), self._raw(idx)):
+            if extra is not None:
+                d_e = d_e + extra
+            d_raw.append((d_e - (d_e * e).sum(axis=1, keepdims=True) * e)
+                         / np.linalg.norm(raw, axis=1, keepdims=True))
+        return self._param_grads(idx, d_raw)
 
     def postprocess(self):
         pass
+
+
+class _TableModel(_Model):
+    """One learnable vector per sample, renormalized after every step."""
+
+    def __init__(self, queries: EmbeddingSet, galleries: EmbeddingSet):
+        self.params = [l2_normalize(e).data.copy() for e in (queries, galleries)]
+
+    def _raw(self, idx):
+        return [table[idx] for table in self.params]
+
+    def _param_grads(self, idx, d_raw):
+        grads = [np.zeros_like(table) for table in self.params]
+        for grad, rows in zip(grads, d_raw):
+            grad[idx] = rows
+        return grads
+
+    def postprocess(self):
+        for table in self.params:
+            table /= np.linalg.norm(table, axis=1, keepdims=True)
+
+
+class _ProjectionModel(_Model):
+    """Shared-dimension linear heads over frozen features, one per modality."""
+
+    def __init__(self, queries: EmbeddingSet, galleries: EmbeddingSet):
+        self.feats = [queries.data.copy(), galleries.data.copy()]
+        self.params = [np.eye(queries.dim), np.eye(galleries.dim)]
+
+    def _raw(self, idx):
+        return [feats[idx] @ w for feats, w in zip(self.feats, self.params)]
+
+    def _param_grads(self, idx, d_raw):
+        return [feats[idx].T @ rows for feats, rows in zip(self.feats, d_raw)]
 
 
 def _build_model(config: TrainConfig, queries, galleries):
@@ -311,18 +289,23 @@ class Adam:
 
 
 @dataclass
+class _Direction:
+    """One retrieval direction's constants for a step: the anchors' weights,
+    the bank pool of candidate-side vectors (or None), the NBI
+    (NeighborSet, H) pairs per anchor and the transport target."""
+
+    weights: np.ndarray
+    pool: np.ndarray | None
+    nbi: list
+    opt: BlendedTarget
+
+
+@dataclass
 class _BatchTargets:
     """Constants for one optimization step (no gradients flow into these)."""
 
-    w_q: np.ndarray
-    w_g: np.ndarray
-    nbi_q2g: list
-    nbi_g2q: list
-    opt_q2g: BlendedTarget
-    opt_g2q: BlendedTarget
-    pool_g: np.ndarray | None
-    pool_q: np.ndarray | None
-    sinkhorn: dict = field(default_factory=dict)
+    directions: dict  # "q2g" / "g2q" -> _Direction
+    sinkhorn: dict
 
 
 def _weights_for(bank: MemoryBank, batch: EmbeddingSet, config: TrainConfig):
@@ -333,8 +316,7 @@ def _weights_for(bank: MemoryBank, batch: EmbeddingSet, config: TrainConfig):
 
 
 def _cross_values(bank: MemoryBank, batch: EmbeddingSet) -> np.ndarray:
-    opposite = bank._opposite(batch.modality)
-    if bank.fill(opposite) == 0:
+    if bank.fill(opposite(batch.modality)) == 0:
         return np.zeros(batch.n)
     return cross_centrality(bank, batch).values
 
@@ -351,48 +333,24 @@ def _neighbor_targets_for(anchor_scores: np.ndarray, cross_vals: np.ndarray,
     return out
 
 
+def _candidate_scores(anchors: np.ndarray, scores: np.ndarray,
+                      pool: np.ndarray | None) -> np.ndarray:
+    """Batch scores of one direction, widened by the bank-pool columns."""
+    if pool is None:
+        return scores
+    return np.concatenate([scores, anchors @ pool.T], axis=1)
+
+
 def compute_targets(config: TrainConfig, bank: MemoryBank,
                     eq: np.ndarray, eg: np.ndarray) -> _BatchTargets:
     """All per-step constants: weights, neighbor targets, transport targets."""
-    b, d = eq.shape
+    b = eq.shape[0]
     batch_q = EmbeddingSet(eq, MODALITY_QUERY)
     batch_g = EmbeddingSet(eg, MODALITY_GALLERY)
     scores = eq @ eg.T
 
-    w_q = _weights_for(bank, batch_q, config) if config.use_wti else np.ones(b)
-    w_g = _weights_for(bank, batch_g, config) if config.use_wti else np.ones(b)
-
-    pool_g = pool_q = None
-    if config.neighbor_pool == POOL_BANK:
-        if bank.fill(MODALITY_GALLERY):
-            pool_g = np.asarray(bank.vectors(MODALITY_GALLERY))
-        if bank.fill(MODALITY_QUERY):
-            pool_q = np.asarray(bank.vectors(MODALITY_QUERY))
-
-    nbi_q2g: list = []
-    nbi_g2q: list = []
-    if config.use_nbi:
-        cross_g = _cross_values(bank, batch_g)
-        cross_q = _cross_values(bank, batch_q)
-        cand_q2g = scores
-        cross_q2g = cross_g
-        if pool_g is not None:
-            cand_q2g = np.concatenate([scores, eq @ pool_g.T], axis=1)
-            pool_set = EmbeddingSet(pool_g, MODALITY_GALLERY)
-            cross_q2g = np.concatenate([cross_g, _cross_values(bank, pool_set)])
-        nbi_q2g = _neighbor_targets_for(cand_q2g, cross_q2g,
-                                        config.k_neighbors, config.temperature)
-        cand_g2q = scores.T
-        cross_g2q = cross_q
-        if pool_q is not None:
-            cand_g2q = np.concatenate([scores.T, eg @ pool_q.T], axis=1)
-            pool_set = EmbeddingSet(pool_q, MODALITY_QUERY)
-            cross_g2q = np.concatenate([cross_q, _cross_values(bank, pool_set)])
-        nbi_g2q = _neighbor_targets_for(cand_g2q, cross_g2q,
-                                        config.k_neighbors, config.temperature)
-
     eye = BlendedTarget(np.eye(b), 0.0)
-    opt_q2g = opt_g2q = eye
+    plans = {}
     sink_summary = {"residual": 0.0, "iterations_used": 0, "warning": False}
     if config.use_opt:
         # slow batches surface through the warning flag recorded below, so
@@ -402,18 +360,31 @@ def compute_targets(config: TrainConfig, bank: MemoryBank,
             plan = sinkhorn_plan(SimilarityMatrix(scores, config.temperature),
                                  config.epsilon_sinkhorn, config.sinkhorn_tol,
                                  config.sinkhorn_max_iter)
-        opt_q2g = blend_targets(plan, config.beta)
-        plan_t = TransportPlan(plan.q.T.copy(), plan.col_marginal, plan.row_marginal,
-                               plan.epsilon, plan.iterations_used, plan.residual)
-        opt_g2q = blend_targets(plan_t, config.beta)
+        plans = {"q2g": plan,
+                 "g2q": TransportPlan(plan.q.T.copy(), plan.col_marginal,
+                                      plan.row_marginal, plan.epsilon,
+                                      plan.iterations_used, plan.residual)}
         sink_summary = plan.summary()
 
-    return _BatchTargets(w_q, w_g, nbi_q2g, nbi_g2q, opt_q2g, opt_g2q,
-                         pool_g, pool_q, sink_summary)
-
-
-def _zero_bundle(b: int) -> LossBundle:
-    return LossBundle(0.0, np.zeros((b, b)))
+    directions = {}
+    for name, anchors, cands, dir_scores in (("q2g", batch_q, batch_g, scores),
+                                             ("g2q", batch_g, batch_q, scores.T)):
+        weights = _weights_for(bank, anchors, config) if config.use_wti else np.ones(b)
+        pool = None
+        if config.neighbor_pool == POOL_BANK and bank.fill(cands.modality):
+            pool = np.asarray(bank.vectors(cands.modality))
+        nbi: list = []
+        if config.use_nbi:
+            cross = _cross_values(bank, cands)
+            if pool is not None:
+                pool_set = EmbeddingSet(pool, cands.modality)
+                cross = np.concatenate([cross, _cross_values(bank, pool_set)])
+            nbi = _neighbor_targets_for(
+                _candidate_scores(anchors.data, dir_scores, pool), cross,
+                config.k_neighbors, config.temperature)
+        opt = blend_targets(plans[name], config.beta) if config.use_opt else eye
+        directions[name] = _Direction(weights, pool, nbi, opt)
+    return _BatchTargets(directions, sink_summary)
 
 
 def _nbi_direction(anchor_scores: np.ndarray, pairs: list, mode: str,
@@ -443,63 +414,35 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
     """
     b = eq.shape[0]
     scores = eq @ eg.T
-    s_q2g = SimilarityMatrix(scores, config.temperature)
-    s_g2q = SimilarityMatrix(scores.T, config.temperature)
-
-    parts = {"q2g": {}, "g2q": {}}
-    ext_q = ext_g = None
-
-    for direction, s_dir, w in (("q2g", s_q2g, targets.w_q),
-                                ("g2q", s_g2q, targets.w_g)):
-        parts[direction]["wti"] = (loss_wti(s_dir, w)
-                                   if config.use_wti else _zero_bundle(b))
-
-    if config.use_nbi:
-        cand = scores
-        if targets.pool_g is not None:
-            cand = np.concatenate([scores, eq @ targets.pool_g.T], axis=1)
-        value, grad_batch, ext = _nbi_direction(cand, targets.nbi_q2g,
-                                                config.grad_mode,
-                                                config.temperature, b)
-        parts["q2g"]["nbi"] = LossBundle(value, grad_batch)
-        if ext is not None:
-            ext_q = 0.5 * (ext @ targets.pool_g)
-        cand = scores.T
-        if targets.pool_q is not None:
-            cand = np.concatenate([scores.T, eg @ targets.pool_q.T], axis=1)
-        value, grad_batch, ext = _nbi_direction(cand, targets.nbi_g2q,
-                                                config.grad_mode,
-                                                config.temperature, b)
-        parts["g2q"]["nbi"] = LossBundle(value, grad_batch)
-        if ext is not None:
-            ext_g = 0.5 * (ext @ targets.pool_q)
-    else:
-        parts["q2g"]["nbi"] = _zero_bundle(b)
-        parts["g2q"]["nbi"] = _zero_bundle(b)
-
-    if config.use_opt:
-        parts["q2g"]["opt"] = loss_opt(s_q2g, targets.opt_q2g)
-        parts["g2q"]["opt"] = loss_opt(s_g2q, targets.opt_g2q)
-    else:
-        parts["q2g"]["opt"] = _zero_bundle(b)
-        parts["g2q"]["opt"] = _zero_bundle(b)
-
-    if config.use_kl:
-        # single-vector mode: the high level coincides with the low level,
-        # so the loss is identically zero but the path stays assembled
-        for direction, s_dir in (("q2g", s_q2g), ("g2q", s_g2q)):
-            kl = loss_kl(s_dir, s_dir)
-            parts[direction]["kl"] = LossBundle(kl.value, kl.grad + kl.grad_high)
-    else:
-        parts["q2g"]["kl"] = _zero_bundle(b)
-        parts["g2q"]["kl"] = _zero_bundle(b)
+    zero = LossBundle(0.0, np.zeros((b, b)))  # every switched-off part
+    parts = {}
+    ext = {}
+    for name, anchors, dir_scores in (("q2g", eq, scores), ("g2q", eg, scores.T)):
+        target = targets.directions[name]
+        s = SimilarityMatrix(dir_scores, config.temperature)
+        part = parts[name] = dict.fromkeys(LOSS_PARTS, zero)
+        ext[name] = None
+        if config.use_wti:
+            part["wti"] = loss_wti(s, target.weights)
+        if config.use_nbi:
+            value, grad_batch, grad_pool = _nbi_direction(
+                _candidate_scores(anchors, dir_scores, target.pool), target.nbi,
+                config.grad_mode, config.temperature, b)
+            part["nbi"] = LossBundle(value, grad_batch)
+            if grad_pool is not None:
+                ext[name] = 0.5 * (grad_pool @ target.pool)
+        if config.use_opt:
+            part["opt"] = loss_opt(s, target.opt)
+        if config.use_kl:
+            # single-vector mode: the high level coincides with the low level,
+            # so the loss is identically zero but the path stays assembled
+            kl = loss_kl(s, s)
+            part["kl"] = LossBundle(kl.value, kl.grad + kl.grad_high)
 
     total = total_loss(parts)
-    part_values = {
-        name: 0.5 * (parts["q2g"][name].value + parts["g2q"][name].value)
-        for name in ("wti", "nbi", "opt", "kl")
-    }
-    return total.value, part_values, total.grad, ext_q, ext_g
+    part_values = {part: 0.5 * (parts["q2g"][part].value + parts["g2q"][part].value)
+                   for part in LOSS_PARTS}
+    return total.value, part_values, total.grad, ext["q2g"], ext["g2q"]
 
 
 def train(config: TrainConfig, data: PairedData) -> TrainResult:
@@ -537,10 +480,7 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
             curve.append({
                 "step": step,
                 "total": value,
-                "wti": part_values["wti"],
-                "nbi": part_values["nbi"],
-                "opt": part_values["opt"],
-                "kl": part_values["kl"],
+                **part_values,
                 "sinkhorn_residual": targets.sinkhorn["residual"],
                 "sinkhorn_iterations": targets.sinkhorn["iterations_used"],
             })
@@ -599,7 +539,8 @@ def grad_check(config: TrainConfig, data: PairedData, h: float = 1e-5) -> dict:
     push_batch(bank, EmbeddingSet(eg0, MODALITY_GALLERY))
 
     # targets for every term, so single-loss configs below can reuse them
-    all_on = replace(config, use_wti=True, use_nbi=True, use_opt=True, use_kl=True)
+    toggles = [f"use_{part}" for part in LOSS_PARTS]
+    all_on = replace(config, **dict.fromkeys(toggles, True))
     base_targets = compute_targets(all_on, bank, eq0, eg0)
 
     def loss_value(cfg) -> float:
@@ -617,13 +558,9 @@ def grad_check(config: TrainConfig, data: PairedData, h: float = 1e-5) -> dict:
     else:
         active_rows = None  # every projection entry matters
 
-    terms = {
-        "wti": replace(config, use_wti=True, use_nbi=False, use_opt=False, use_kl=False),
-        "nbi": replace(config, use_wti=False, use_nbi=True, use_opt=False, use_kl=False),
-        "opt": replace(config, use_wti=False, use_nbi=False, use_opt=True, use_kl=False),
-        "kl": replace(config, use_wti=False, use_nbi=False, use_opt=False, use_kl=True),
-        "total": config,
-    }
+    terms = {part: replace(config, **{flag: flag == f"use_{part}" for flag in toggles})
+             for part in LOSS_PARTS}
+    terms["total"] = config
     errors = {}
     for name, cfg in terms.items():
         analytic = analytic_grads(cfg)

@@ -234,6 +234,7 @@ class TestCriterion5MetricOracles:
         assert ok
 
 
+@pytest.mark.slow
 class TestCriterion6AblationTrend:
     def test_full_objective_beats_weighting_only(self, planted_dataset,
                                                  trained_pair):
@@ -268,6 +269,7 @@ class TestCriterion6AblationTrend:
         assert ok
 
 
+@pytest.mark.slow  # shares the trained_pair fixture with criterion 6
 class TestCriterion7SimiCent:
     def test_decentrality_reranking_on_trained_baseline(self, planted_dataset,
                                                         trained_pair):

@@ -107,6 +107,9 @@ class TestConfig:
             resolve_config({"use_opt": 1})
         with pytest.raises(ConfigError):
             resolve_config({"queries": 5})
+        for bad in (float("nan"), float("inf"), -float("inf"), 10 ** 400):
+            with pytest.raises(ConfigError):
+                resolve_config({"learning_rate": bad})
 
     def test_override_precedence(self):
         resolved = resolve_config({"k": 10}, {"k": 25})
@@ -292,6 +295,61 @@ class TestCli:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
+    """Write the bad input of one probe; return the command that reads it."""
+    q, g = tmp_path / "q.emb", tmp_path / "g.emb"
+    hio.write_embeddings(q, random_unit_rows(rng, 4, 3), "query")
+    hio.write_embeddings(g, random_unit_rows(rng, 4, 3), "gallery",
+                         ids=["a", "b", "c", "d"])
+    analyze = ["analyze", "--queries", str(q), "--galleries", str(g)]
+    if probe == "nan-config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"learning_rate": NaN, "n_pairs": 8, "dim": 4}')
+        return ["train", "--config", str(cfg)]
+    if probe == "nan-payload":
+        data = random_unit_rows(rng, 4, 3)
+        data[2, 1] = np.nan
+        hio.write_embeddings(q, data, "query")
+        return analyze
+    if probe == "nan-bank":
+        bank = tmp_path / "bank.emb"
+        data = random_unit_rows(rng, 4, 3)
+        data[0, 0] = np.inf
+        hio.write_embeddings(bank, data, "gallery")
+        return ["retrieve", "--queries", str(q), "--galleries", str(g),
+                "--mode", "simi-cent", "--bank", str(bank)]
+    if probe == "bad-sidecar":
+        hio.sidecar_path(g).write_text('{"ids": ["a", ')
+        return analyze
+    if probe == "short-sidecar":
+        hio.sidecar_path(g).write_text('{"ids": ["a"]}')
+        return analyze
+    if probe in ("label-out-of-range", "label-negative"):
+        pair = [0, 4] if probe == "label-out-of-range" else [-1, 0]
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps({"pairs": [[i, i] for i in range(4)] + [pair]}))
+        return ["retrieve", "--queries", str(q), "--galleries", str(g),
+                "--labels", str(labels)]
+    assert probe == "missing-file"
+    return ["analyze", "--queries", str(tmp_path / "absent.emb"),
+            "--galleries", str(g)]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("probe", [
+        "nan-config", "nan-payload", "nan-bank", "bad-sidecar", "short-sidecar",
+        "label-out-of-range", "label-negative", "missing-file"])
+    def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,
+                                                      capsys, rng):
+        argv = _probe_argv(probe, tmp_path, rng)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert not out.exists() or not any(out.rglob("*"))
 
 
 class TestEndToEnd:
