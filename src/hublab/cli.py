@@ -29,7 +29,8 @@ from .config import (
 from .core import MODALITY_GALLERY, EmbeddingSet, cosine_similarity_matrix
 from .errors import ConfigError, HubLabError
 from .eval import retrieval_eval, infer_simi_cent
-from .hubness import RelevanceLabels, hubness_report, pseudo_positive_probe, worker_count
+from .hubness import (RelevanceLabels, hubness_report, pseudo_positive_probe,
+                      top_k_indices, worker_count)
 from .trainer import CURVE_COLUMNS, PairedData, synth_generate, train
 
 
@@ -155,7 +156,7 @@ def cmd_retrieve(args) -> Path:
                 {"mode": resolved["mode"], "scores": scores.to_dict()})
     gallery_ids = galleries.ids or [f"g{j:05d}" for j in range(s.m)]
     query_ids = queries.ids or [f"q{i:05d}" for i in range(s.n)]
-    top = np.argsort(-s.scores, axis=1, kind="stable")[:, :10]
+    top = top_k_indices(s.scores, min(10, s.m), worker_count())
     with open(out / "ranked.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "rank", "gallery_id", "score"])

@@ -22,6 +22,7 @@ from .errors import (
     NonSquareBatch,
     ShapeMismatch,
 )
+from .hubness import top_k_indices
 
 GRAD_MODE_EXACT = "exact"
 GRAD_MODE_PAPER = "paper"
@@ -54,28 +55,33 @@ class LossBundle:
 
 @dataclass
 class NeighborSet:
-    """Closest gallery indices for one query, excluding its ground truth.
+    """Closest candidate columns of every anchor row, ground truths excluded.
 
-    ``plus_indices`` prepends the ground truth, which is how the target
-    vector and the restricted softmax are laid out.
+    Row i is anchor i: ``members`` has shape (n, k) and ``ground_truth``
+    shape (n,). ``plus_indices`` (n, k+1) prepends each row's ground truth,
+    which is how the targets and the restricted softmax are laid out.
     """
 
-    anchor: int
     members: np.ndarray
-    ground_truth: int
+    ground_truth: np.ndarray
 
     def __post_init__(self):
         self.members = np.asarray(self.members, dtype=np.intp)
-        if self.members.ndim != 1 or self.members.size < 1:
-            raise ValueError("a neighbor set needs at least one member")
-        if self.ground_truth in self.members:
+        self.ground_truth = np.asarray(self.ground_truth, dtype=np.intp)
+        if self.members.ndim != 2 or self.members.shape[1] < 1:
+            raise ValueError("a neighbor set needs at least one member per row")
+        if self.ground_truth.shape != (self.members.shape[0],):
+            raise LengthMismatch(f"ground truths have shape {self.ground_truth.shape}, "
+                                 f"expected ({self.members.shape[0]},)")
+        if np.any(self.members == self.ground_truth[:, None]):
             raise ValueError("members must not contain the ground-truth index")
-        if len(np.unique(self.members)) != self.members.size:
+        ordered = np.sort(self.members, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
             raise ValueError("members must be distinct")
 
     @property
     def plus_indices(self) -> np.ndarray:
-        return np.concatenate([[self.ground_truth], self.members]).astype(np.intp)
+        return np.concatenate([self.ground_truth[:, None], self.members], axis=1)
 
 
 def loss_wti(s: SimilarityMatrix, w: np.ndarray) -> LossBundle:
@@ -109,66 +115,74 @@ def decentral_similarity(s: SimilarityMatrix, cg: CentralityVector) -> Similarit
     return SimilarityMatrix(s.scores - cg.values[None, :], s.temperature)
 
 
-def select_neighbors(s: SimilarityMatrix, i: int, k: int,
-                     ground_truth: int | None = None) -> NeighborSet:
-    """Top-k gallery indices for query row i by raw score, ground truth excluded.
+def select_neighbors(s: SimilarityMatrix, k: int,
+                     ground_truth: np.ndarray | None = None) -> NeighborSet:
+    """Top-k columns of every row by raw score, each row's ground truth excluded.
 
-    Ties break toward the lower gallery index; k is clamped to m - 1.
+    ``ground_truth`` holds one column per row and defaults to the diagonal.
+    Ties break toward the lower column index; k is clamped to m - 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if s.m < 2:
         raise ValueError("need at least two gallery items to pick neighbors")
-    gt = i if ground_truth is None else int(ground_truth)
-    order = np.argsort(-s.scores[i], kind="stable")
-    order = order[order != gt]
-    return NeighborSet(anchor=i, members=order[: min(k, s.m - 1)], ground_truth=gt)
+    gt = np.arange(s.n) if ground_truth is None else np.asarray(ground_truth, np.intp)
+    if gt.shape != (s.n,):
+        raise LengthMismatch(f"ground truths have shape {gt.shape}, expected ({s.n},)")
+    if np.any((gt < 0) | (gt >= s.m)):
+        raise ValueError(f"a ground-truth column lies outside [0, {s.m})")
+    k = min(k, s.m - 1)
+    top = top_k_indices(s.scores, k + 1)
+    drop = top == gt[:, None]
+    # a row whose ground truth is not among its top k+1 drops its last column
+    drop[~drop.any(axis=1), -1] = True
+    return NeighborSet(top[~drop].reshape(s.n, k), gt)
 
 
 def neighbor_targets(s_tilde: SimilarityMatrix, ns: NeighborSet) -> np.ndarray:
-    """Target vector H over the ground truth plus the neighbor members.
+    """Target rows H over each ground truth plus its neighbor members.
 
-    The ground-truth slot is pinned to 1.0; member slots are the softmax of
-    the de-centrality scores restricted to the members, so those sum to 1.
+    The ground-truth column is pinned to 1.0; member columns are the softmax
+    of the de-centrality scores restricted to the members, so those sum to 1.
     """
-    member_scores = s_tilde.scores[ns.anchor, ns.members]
-    h = np.empty(ns.members.size + 1, dtype=np.float64)
-    h[0] = 1.0
-    h[1:] = row_softmax(member_scores[None, :], s_tilde.temperature)[0]
+    member_scores = np.take_along_axis(s_tilde.scores, ns.members, axis=1)
+    h = np.ones((ns.members.shape[0], ns.members.shape[1] + 1))
+    h[:, 1:] = row_softmax(member_scores, s_tilde.temperature)
     return h
 
 
 def loss_nbi(s: SimilarityMatrix, h: np.ndarray, ns: NeighborSet,
              mode: str = GRAD_MODE_EXACT) -> LossBundle:
-    """Neighbor adjusting loss for one anchor, with two gradient modes.
+    """Neighbor adjusting loss, the mean over anchor rows, with two gradient modes.
 
-    value = -sum_t H_t log P_t over the ground truth plus members, where P
-    is the softmax of the raw scores restricted to those columns.
+    Per anchor, -sum_t H_t log P_t over the ground truth plus members, where
+    P is the softmax of the raw scores restricted to those columns.
 
     mode 'exact' returns the true derivative of this value given fixed
-    targets, (P_t * sum(H) - H_t) / tau; since the pinned ground truth makes
-    sum(H) = 2, this is what finite differences reproduce. mode 'paper'
-    emits the plain difference P_t - H_t, the simplified form that assumes
-    the targets are themselves a normalized distribution.
+    targets, (P_t * sum(H) - H_t) / tau per anchor; since the pinned ground
+    truth makes sum(H) = 2, this is what finite differences reproduce. mode
+    'paper' emits the plain difference P_t - H_t, the simplified form that
+    assumes the targets are themselves a normalized distribution. Either is
+    divided by the number of anchors, as the value is a mean.
     """
     if mode not in (GRAD_MODE_EXACT, GRAD_MODE_PAPER):
         raise ValueError(f"unknown grad mode {mode!r}")
     h = np.asarray(h, dtype=np.float64)
     plus = ns.plus_indices
-    if h.shape != (plus.size,):
-        raise InconsistentTargets(
-            f"target vector has shape {h.shape}, expected ({plus.size},)")
-    logits = s.scores[ns.anchor, plus]
-    logp = row_log_softmax(logits[None, :], s.temperature)[0]
+    if h.shape != plus.shape or plus.shape[0] != s.n:
+        raise InconsistentTargets(f"targets {h.shape} and neighbors {plus.shape} "
+                                  f"must match, with one row per anchor ({s.n})")
+    logp = row_log_softmax(np.take_along_axis(s.scores, plus, axis=1), s.temperature)
     p = np.exp(logp)
-    value = float(-(h * logp).sum())
+    per_sample = -(h * logp).sum(axis=1)
     if mode == GRAD_MODE_EXACT:
-        local = (p * h.sum() - h) / s.temperature
+        local = (p * h.sum(axis=1, keepdims=True) - h) / s.temperature
     else:
         local = p - h
     grad = np.zeros_like(s.scores)
-    grad[ns.anchor, plus] = local
-    return LossBundle(value, grad)
+    np.put_along_axis(grad, plus, local, axis=1)
+    grad /= s.n
+    return LossBundle(float(per_sample.mean()), grad, per_sample)
 
 
 def loss_kl(low: SimilarityMatrix, high: SimilarityMatrix,

@@ -1,8 +1,8 @@
 """Token-level similarity and density-peaks token merging.
 
-These build the two-level similarity hierarchy: the low level scores raw
-token sets against each other, the high level scores merged (clustered)
-token sets. Token weights are inputs here; whatever network produced them
+These are the parts of the two-level similarity hierarchy: the low level
+scores raw token sets against each other, the high level scores merged
+(clustered) token sets. Token weights are inputs here; whatever network produced them
 is outside this library.
 """
 
@@ -151,29 +151,3 @@ def dpc_knn_merge(tokens: TokenSet, c: int, k_density: int | None = None) -> Tok
     weights = weights / weights.sum()
     return TokenSet(merged, weights)
 
-
-def token_similarity_matrix(queries: list, galleries: list,
-                            temperature: float = 1.0):
-    """Pairwise token-kernel score grid between two lists of token sets."""
-    from .core import SimilarityMatrix
-
-    scores = np.empty((len(queries), len(galleries)))
-    for i, v in enumerate(queries):
-        for j, t in enumerate(galleries):
-            scores[i, j] = wti_similarity(v, t)
-    return SimilarityMatrix(scores, temperature)
-
-
-def two_level_similarity(queries: list, galleries: list, c: int = 1,
-                         k_density: int | None = None,
-                         temperature: float = 1.0):
-    """Low- and high-level score grids for the distillation loss.
-
-    The low level scores the raw token sets; the high level scores each
-    set merged down to ``c`` tokens (a single global token by default).
-    """
-    low = token_similarity_matrix(queries, galleries, temperature)
-    merged_q = [dpc_knn_merge(v, min(c, v.n), k_density) for v in queries]
-    merged_g = [dpc_knn_merge(t, min(c, t.n), k_density) for t in galleries]
-    high = token_similarity_matrix(merged_q, merged_g, temperature)
-    return low, high

@@ -190,6 +190,16 @@ def synth_generate(n_pairs: int, d: int, hub_fraction: float,
     )
 
 
+def _finite_norms(raw: np.ndarray) -> np.ndarray:
+    """Row norms of raw embeddings; diverged parameters show here first, as an
+    overflowed norm would silently zero its row and leave NaN for later."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise DivergenceDetected("embedding norms overflowed or vanished")
+    return norms
+
+
 class _Model:
     """Unit-normalized query and gallery embeddings over raw rows.
 
@@ -201,8 +211,7 @@ class _Model:
     params: list
 
     def forward(self, idx) -> tuple[np.ndarray, np.ndarray]:
-        eq, eg = (raw / np.linalg.norm(raw, axis=1, keepdims=True)
-                  for raw in self._raw(idx))
+        eq, eg = (raw / _finite_norms(raw) for raw in self._raw(idx))
         return eq, eg
 
     def full_embeddings(self) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +250,7 @@ class _TableModel(_Model):
 
     def postprocess(self):
         for table in self.params:
-            table /= np.linalg.norm(table, axis=1, keepdims=True)
+            table /= _finite_norms(table)
 
 
 class _ProjectionModel(_Model):
@@ -292,11 +301,12 @@ class Adam:
 class _Direction:
     """One retrieval direction's constants for a step: the anchors' weights,
     the bank pool of candidate-side vectors (or None), the NBI
-    (NeighborSet, H) pairs per anchor and the transport target."""
+    (NeighborSet, H) pair over all anchors (or None) and the transport
+    target."""
 
     weights: np.ndarray
     pool: np.ndarray | None
-    nbi: list
+    nbi: tuple | None
     opt: BlendedTarget
 
 
@@ -319,18 +329,6 @@ def _cross_values(bank: MemoryBank, batch: EmbeddingSet) -> np.ndarray:
     if bank.fill(opposite(batch.modality)) == 0:
         return np.zeros(batch.n)
     return cross_centrality(bank, batch).values
-
-
-def _neighbor_targets_for(anchor_scores: np.ndarray, cross_vals: np.ndarray,
-                          k: int, temperature: float) -> list:
-    """(NeighborSet, H) per anchor from one direction's candidate scores."""
-    s = SimilarityMatrix(anchor_scores, temperature)
-    s_tilde = SimilarityMatrix(anchor_scores - cross_vals[None, :], temperature)
-    out = []
-    for i in range(anchor_scores.shape[0]):
-        ns = select_neighbors(s, i, k, ground_truth=i)
-        out.append((ns, neighbor_targets(s_tilde, ns)))
-    return out
 
 
 def _candidate_scores(anchors: np.ndarray, scores: np.ndarray,
@@ -373,36 +371,20 @@ def compute_targets(config: TrainConfig, bank: MemoryBank,
         pool = None
         if config.neighbor_pool == POOL_BANK and bank.fill(cands.modality):
             pool = np.asarray(bank.vectors(cands.modality))
-        nbi: list = []
+        nbi = None
         if config.use_nbi:
             cross = _cross_values(bank, cands)
             if pool is not None:
                 pool_set = EmbeddingSet(pool, cands.modality)
                 cross = np.concatenate([cross, _cross_values(bank, pool_set)])
-            nbi = _neighbor_targets_for(
-                _candidate_scores(anchors.data, dir_scores, pool), cross,
-                config.k_neighbors, config.temperature)
+            cand_scores = _candidate_scores(anchors.data, dir_scores, pool)
+            ns = select_neighbors(SimilarityMatrix(cand_scores, config.temperature),
+                                  config.k_neighbors)
+            s_tilde = SimilarityMatrix(cand_scores - cross[None, :], config.temperature)
+            nbi = ns, neighbor_targets(s_tilde, ns)
         opt = blend_targets(plans[name], config.beta) if config.use_opt else eye
         directions[name] = _Direction(weights, pool, nbi, opt)
     return _BatchTargets(directions, sink_summary)
-
-
-def _nbi_direction(anchor_scores: np.ndarray, pairs: list, mode: str,
-                   temperature: float, b: int):
-    """Mean neighbor loss over anchors; splits the gradient into the batch
-    columns and any bank-pool columns."""
-    s = SimilarityMatrix(anchor_scores, temperature)
-    grad = np.zeros_like(anchor_scores)
-    value = 0.0
-    for ns, h in pairs:
-        bundle = loss_nbi(s, h, ns, mode)
-        value += bundle.value
-        grad += bundle.grad
-    n_anchors = len(pairs)
-    value /= n_anchors
-    grad /= n_anchors
-    ext = grad[:, b:] if anchor_scores.shape[1] > b else None
-    return value, grad[:, :b], ext
 
 
 def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
@@ -425,12 +407,14 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
         if config.use_wti:
             part["wti"] = loss_wti(s, target.weights)
         if config.use_nbi:
-            value, grad_batch, grad_pool = _nbi_direction(
-                _candidate_scores(anchors, dir_scores, target.pool), target.nbi,
-                config.grad_mode, config.temperature, b)
-            part["nbi"] = LossBundle(value, grad_batch)
-            if grad_pool is not None:
-                ext[name] = 0.5 * (grad_pool @ target.pool)
+            ns, h = target.nbi
+            cand_scores = _candidate_scores(anchors, dir_scores, target.pool)
+            nbi = loss_nbi(SimilarityMatrix(cand_scores, config.temperature), h, ns,
+                           config.grad_mode)
+            # the batch columns come first, then any bank-pool columns
+            part["nbi"] = LossBundle(nbi.value, nbi.grad[:, :b])
+            if target.pool is not None:
+                ext[name] = 0.5 * (nbi.grad[:, b:] @ target.pool)
         if config.use_opt:
             part["opt"] = loss_opt(s, target.opt)
         if config.use_kl:
@@ -459,35 +443,38 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
     frozen = config.learning_rate == 0.0
     curve: list[dict] = []
     step = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start: start + config.batch_size]
-            if idx.size < 2:
-                continue
-            eq, eg = model.forward(idx)
-            targets = compute_targets(config, bank, eq, eg)
-            value, part_values, grad_s, ext_q, ext_g = batch_loss(
-                config, eq, eg, targets)
-            if not np.isfinite(value):
-                raise DivergenceDetected(f"loss became non-finite at step {step}")
-            if not frozen:
-                grads = model.backward(idx, eq, eg, grad_s, ext_q, ext_g)
-                adam.step(model.params, grads)
-                model.postprocess()
-            push_batch(bank, EmbeddingSet(eq, MODALITY_QUERY))
-            push_batch(bank, EmbeddingSet(eg, MODALITY_GALLERY))
-            curve.append({
-                "step": step,
-                "total": value,
-                **part_values,
-                "sinkhorn_residual": targets.sinkhorn["residual"],
-                "sinkhorn_iterations": targets.sinkhorn["iterations_used"],
-            })
-            step += 1
+    try:
+        for _ in range(config.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = order[start: start + config.batch_size]
+                if idx.size < 2:
+                    continue
+                eq, eg = model.forward(idx)
+                targets = compute_targets(config, bank, eq, eg)
+                value, part_values, grad_s, ext_q, ext_g = batch_loss(
+                    config, eq, eg, targets)
+                if not np.isfinite(value):
+                    raise DivergenceDetected("loss became non-finite")
+                if not frozen:
+                    grads = model.backward(idx, eq, eg, grad_s, ext_q, ext_g)
+                    adam.step(model.params, grads)
+                    model.postprocess()
+                push_batch(bank, EmbeddingSet(eq, MODALITY_QUERY))
+                push_batch(bank, EmbeddingSet(eg, MODALITY_GALLERY))
+                curve.append({
+                    "step": step,
+                    "total": value,
+                    **part_values,
+                    "sinkhorn_residual": targets.sinkhorn["residual"],
+                    "sinkhorn_iterations": targets.sinkhorn["iterations_used"],
+                })
+                step += 1
+        full_q, full_g = model.full_embeddings()
+    except DivergenceDetected as exc:
+        raise DivergenceDetected(f"{exc} at step {step}") from None
 
     report_after = _full_report(config, model)
-    full_q, full_g = model.full_embeddings()
     return TrainResult(
         queries=EmbeddingSet(full_q, MODALITY_QUERY, queries.ids, queries.labels),
         galleries=EmbeddingSet(full_g, MODALITY_GALLERY,

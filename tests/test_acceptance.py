@@ -82,7 +82,7 @@ class TestCriterion1GradientFidelity:
         worst["wti"] = max_rel_error(out.grad, fd)
 
         s = SimilarityMatrix(scores)
-        ns = select_neighbors(s, 2, 5)
+        ns = select_neighbors(s, 5)  # every row, ground truth on the diagonal
         h = neighbor_targets(s, ns)
         out = loss_nbi(s, h, ns, "exact")
         fd = fd_grad(lambda x: loss_nbi(SimilarityMatrix(x), h, ns, "exact").value,
@@ -122,18 +122,19 @@ class TestCriterion2PaperGradient:
             m = int(rng.integers(3, 30))
             scores = rng.normal(size=(4, m))
             s = SimilarityMatrix(scores)
-            anchor = int(rng.integers(0, 4))
             k = int(rng.integers(1, m - 1))
-            ns = select_neighbors(s, anchor, k, ground_truth=int(rng.integers(0, m)))
+            ns = select_neighbors(s, k, ground_truth=rng.integers(0, m, size=4))
             h = neighbor_targets(s, ns)
             out = loss_nbi(s, h, ns, GRAD_MODE_PAPER)
+            # the gradient of the mean over 4 anchors is each row's (P - H) / 4
             plus = ns.plus_indices
-            logits = scores[anchor, plus]
-            p = np.exp(logits - logits.max())
-            p /= p.sum()
-            worst = max(worst, np.abs(out.grad[anchor, plus] - (p - h)).max())
+            logits = np.take_along_axis(scores, plus, axis=1)
+            p = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            emitted = 4 * np.take_along_axis(out.grad, plus, axis=1)
+            worst = max(worst, np.abs(emitted - (p - h)).max())
             outside = np.ones_like(scores, dtype=bool)
-            outside[anchor, plus] = False
+            np.put_along_axis(outside, plus, False, axis=1)
             worst = max(worst, np.abs(out.grad[outside]).max(initial=0.0))
         ok = worst < 1e-12
         report(2, ok, f"paper-mode gradient equals P - H to {worst:.2e} (< 1e-12)")

@@ -332,6 +332,12 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         labels.write_text(json.dumps({"pairs": [[i, i] for i in range(4)] + [pair]}))
         return ["retrieve", "--queries", str(q), "--galleries", str(g),
                 "--labels", str(labels)]
+    if probe in ("diverge-table", "diverge-projection"):
+        cfg = tmp_path / "cfg.json"
+        model = "embedding-table" if probe == "diverge-table" else "linear-projection"
+        cfg.write_text(json.dumps({"learning_rate": 1e300, "epochs": 2, "n_pairs": 64,
+                                   "batch_size": 32, "model": model}))
+        return ["train", "--config", str(cfg)]
     assert probe == "missing-file"
     return ["analyze", "--queries", str(tmp_path / "absent.emb"),
             "--galleries", str(g)]
@@ -340,7 +346,8 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
 class TestBadInput:
     @pytest.mark.parametrize("probe", [
         "nan-config", "nan-payload", "nan-bank", "bad-sidecar", "short-sidecar",
-        "label-out-of-range", "label-negative", "missing-file"])
+        "label-out-of-range", "label-negative", "missing-file", "diverge-table",
+        "diverge-projection"])
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,
                                                       capsys, rng):
         argv = _probe_argv(probe, tmp_path, rng)

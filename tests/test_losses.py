@@ -108,79 +108,87 @@ class TestDecentralSimilarity:
             decentral_similarity(s, CentralityVector(np.zeros(2), KIND_CROSS))
 
     def test_constant_offset_keeps_neighbor_selection(self, rng):
-        s = SimilarityMatrix(rng.normal(size=(1, 9)))
+        s = SimilarityMatrix(rng.normal(size=(3, 9)))
         shifted = decentral_similarity(
             s, CentralityVector(np.full(9, 0.37), KIND_CROSS))
-        a = select_neighbors(s, 0, 4, ground_truth=2)
-        b = select_neighbors(shifted, 0, 4, ground_truth=2)
+        a = select_neighbors(s, 4, ground_truth=[2, 0, 8])
+        b = select_neighbors(shifted, 4, ground_truth=[2, 0, 8])
         np.testing.assert_array_equal(a.members, b.members)
 
 
 class TestSelectNeighbors:
     def test_simple_ordering(self):
         s = SimilarityMatrix([[0.9, 0.1, 0.5]])
-        ns = select_neighbors(s, 0, 1, ground_truth=0)
-        np.testing.assert_array_equal(ns.members, [2])
+        ns = select_neighbors(s, 1, ground_truth=[0])
+        np.testing.assert_array_equal(ns.members, [[2]])
 
     def test_clamped_to_everything_but_gt(self):
         s = SimilarityMatrix([[0.9, 0.1, 0.5, 0.2]])
-        ns = select_neighbors(s, 0, 10, ground_truth=0)
-        assert set(ns.members.tolist()) == {1, 2, 3}
+        ns = select_neighbors(s, 10, ground_truth=[0])
+        assert set(ns.members[0].tolist()) == {1, 2, 3}
 
     def test_against_full_sort_oracle(self, rng):
-        row = rng.normal(size=(1, 50))
-        s = SimilarityMatrix(row)
-        ns = select_neighbors(s, 0, 10, ground_truth=7)
-        pairs = sorted(((-row[0, j], j) for j in range(50) if j != 7))
-        expected = [j for _, j in pairs[:10]]
-        np.testing.assert_array_equal(ns.members, expected)
+        rows = rng.normal(size=(4, 50))
+        gts = [7, 0, 49, 7]
+        ns = select_neighbors(SimilarityMatrix(rows), 10, ground_truth=gts)
+        for i, gt in enumerate(gts):
+            pairs = sorted(((-rows[i, j], j) for j in range(50) if j != gt))
+            expected = [j for _, j in pairs[:10]]
+            np.testing.assert_array_equal(ns.members[i], expected)
 
     def test_ties_break_to_lower_index(self):
         s = SimilarityMatrix([[0.5, 0.5, 0.5, 0.5]])
-        ns = select_neighbors(s, 0, 2, ground_truth=3)
-        np.testing.assert_array_equal(ns.members, [0, 1])
+        ns = select_neighbors(s, 2, ground_truth=[3])
+        np.testing.assert_array_equal(ns.members, [[0, 1]])
 
     def test_members_exclude_gt_and_are_distinct(self, rng):
         s = SimilarityMatrix(rng.normal(size=(3, 12)))
-        ns = select_neighbors(s, 1, 6)
-        assert 1 not in ns.members
-        assert len(set(ns.members.tolist())) == 6
+        ns = select_neighbors(s, 6)
+        for i in range(3):
+            assert i not in ns.members[i]
+            assert len(set(ns.members[i].tolist())) == 6
 
 
 class TestNeighborTargets:
     def test_single_member(self):
         s = SimilarityMatrix([[0.3, 0.1]])
-        ns = NeighborSet(0, [1], ground_truth=0)
+        ns = NeighborSet([[1]], ground_truth=[0])
         h = neighbor_targets(s, ns)
-        np.testing.assert_allclose(h, [1.0, 1.0])
+        np.testing.assert_allclose(h, [[1.0, 1.0]])
 
     def test_two_equal_members(self):
         s = SimilarityMatrix([[0.0, 0.4, 0.4]])
-        ns = NeighborSet(0, [1, 2], ground_truth=0)
+        ns = NeighborSet([[1, 2]], ground_truth=[0])
         h = neighbor_targets(s, ns)
-        np.testing.assert_allclose(h, [1.0, 0.5, 0.5])
+        np.testing.assert_allclose(h, [[1.0, 0.5, 0.5]])
 
     def test_against_scalar_softmax_oracle(self):
         s = SimilarityMatrix([[9.0, 1.0, 0.0, -1.0]])
-        ns = NeighborSet(0, [1, 2, 3], ground_truth=0)
+        ns = NeighborSet([[1, 2, 3]], ground_truth=[0])
         h = neighbor_targets(s, ns)
         e = np.exp([1.0, 0.0, -1.0])
-        np.testing.assert_allclose(h[1:], e / e.sum(), atol=1e-12)
-        assert h[1:].sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(h[0, 1:], e / e.sum(), atol=1e-12)
+        assert h[0, 1:].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_members_sum_to_one(self, rng):
         s = SimilarityMatrix(rng.normal(size=(2, 8)))
-        ns = select_neighbors(s, 1, 5)
+        ns = select_neighbors(s, 5)
         h = neighbor_targets(s, ns)
-        assert h[0] == 1.0
-        assert h[1:].sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(h[:, 0] == 1.0)
+        np.testing.assert_allclose(h[:, 1:].sum(axis=1), 1.0, atol=1e-12)
+
+
+def _restricted_softmax(scores, plus):
+    logits = np.take_along_axis(scores, plus, axis=1)
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
 
 
 class TestLossNbi:
     def _random_case(self, rng, m=12, k=8):
         scores = rng.normal(size=(3, m))
         s = SimilarityMatrix(scores)
-        ns = select_neighbors(s, 1, k)
+        ns = select_neighbors(s, k)
         s_tilde = decentral_similarity(
             s, CentralityVector(rng.uniform(-0.5, 0.5, size=m), KIND_CROSS))
         h = neighbor_targets(s_tilde, ns)
@@ -188,8 +196,8 @@ class TestLossNbi:
 
     def test_symmetric_two_member_case(self):
         s = SimilarityMatrix(np.zeros((1, 2)))
-        ns = NeighborSet(0, [1], ground_truth=0)
-        h = np.array([1.0, 1.0])
+        ns = NeighborSet([[1]], ground_truth=[0])
+        h = np.array([[1.0, 1.0]])
         exact = loss_nbi(s, h, ns, GRAD_MODE_EXACT)
         np.testing.assert_allclose(exact.grad, 0.0, atol=1e-15)
         paper = loss_nbi(s, h, ns, GRAD_MODE_PAPER)
@@ -199,8 +207,8 @@ class TestLossNbi:
         # target mass entirely on the ground truth: plain cross-entropy on N+
         scores = rng.normal(size=(1, 4))
         s = SimilarityMatrix(scores)
-        ns = NeighborSet(0, [1, 2, 3], ground_truth=0)
-        out = loss_nbi(s, np.array([1.0, 0.0, 0.0, 0.0]), ns)
+        ns = NeighborSet([[1, 2, 3]], ground_truth=[0])
+        out = loss_nbi(s, np.array([[1.0, 0.0, 0.0, 0.0]]), ns)
         ce = -(scores[0, 0] - np.log(np.exp(scores[0]).sum()))
         assert out.value == pytest.approx(ce, rel=1e-9)
 
@@ -214,7 +222,7 @@ class TestLossNbi:
     def test_exact_gradient_with_temperature(self, rng):
         scores = rng.normal(size=(2, 9))
         s = SimilarityMatrix(scores, temperature=0.5)
-        ns = select_neighbors(s, 0, 5)
+        ns = select_neighbors(s, 5)
         h = neighbor_targets(s, ns)
         out = loss_nbi(s, h, ns)
         fd = fd_grad(
@@ -223,44 +231,97 @@ class TestLossNbi:
         assert max_rel_error(out.grad, fd) < 1e-6
 
     def test_paper_mode_is_p_minus_h(self, rng):
+        # the gradient of a mean over n anchors is each anchor's P - H over n
         s, ns, h = self._random_case(rng)
         paper = loss_nbi(s, h, ns, GRAD_MODE_PAPER)
         plus = ns.plus_indices
-        logits = s.scores[ns.anchor, plus]
-        p = np.exp(logits - logits.max())
-        p /= p.sum()
-        np.testing.assert_allclose(paper.grad[ns.anchor, plus], p - h, atol=1e-12)
+        p = _restricted_softmax(s.scores, plus)
+        np.testing.assert_allclose(
+            s.n * np.take_along_axis(paper.grad, plus, axis=1), p - h, atol=1e-12)
 
     def test_paper_equals_exact_minus_correction(self, rng):
         s, ns, h = self._random_case(rng)
         exact = loss_nbi(s, h, ns, GRAD_MODE_EXACT)
         paper = loss_nbi(s, h, ns, GRAD_MODE_PAPER)
         plus = ns.plus_indices
-        logits = s.scores[ns.anchor, plus]
-        p = np.exp(logits - logits.max())
-        p /= p.sum()
-        correction = p * (h.sum() - 1.0)
-        np.testing.assert_allclose(exact.grad[ns.anchor, plus] - correction,
-                                   paper.grad[ns.anchor, plus], atol=1e-12)
+        p = _restricted_softmax(s.scores, plus)
+        correction = p * (h.sum(axis=1, keepdims=True) - 1.0)
+        np.testing.assert_allclose(
+            s.n * np.take_along_axis(exact.grad, plus, axis=1) - correction,
+            s.n * np.take_along_axis(paper.grad, plus, axis=1), atol=1e-12)
 
     def test_gradient_zero_outside_neighborhood(self, rng):
         s, ns, h = self._random_case(rng)
         out = loss_nbi(s, h, ns)
         mask = np.ones_like(s.scores, dtype=bool)
-        mask[ns.anchor, ns.plus_indices] = False
+        np.put_along_axis(mask, ns.plus_indices, False, axis=1)
         assert np.all(out.grad[mask] == 0.0)
 
     def test_stationary_at_scaled_targets(self):
         # equal restricted scores give P uniform; with |N+| = 2 that is H/2
         s = SimilarityMatrix([[0.7, 0.7, -3.0]])
-        ns = NeighborSet(0, [1], ground_truth=0)
-        out = loss_nbi(s, np.array([1.0, 1.0]), ns, GRAD_MODE_EXACT)
+        ns = NeighborSet([[1]], ground_truth=[0])
+        out = loss_nbi(s, np.array([[1.0, 1.0]]), ns, GRAD_MODE_EXACT)
         np.testing.assert_allclose(out.grad, 0.0, atol=1e-15)
 
     def test_inconsistent_targets(self, rng):
         s, ns, h = self._random_case(rng)
         with pytest.raises(InconsistentTargets):
-            loss_nbi(s, h[:-1], ns)
+            loss_nbi(s, h[:, :-1], ns)
+
+
+class TestBatchedNbiAgainstPerAnchor:
+    """The whole-matrix NBI loss against a loop over anchors, one at a time,
+    on a non-square grid as a bank pool makes it."""
+
+    def _reference(self, scores, gts, k, h, mode, temperature):
+        n, m = scores.shape
+        values = np.empty(n)
+        grad = np.zeros_like(scores)
+        members = []
+        for i in range(n):
+            ranked = sorted(((-scores[i, j], j) for j in range(m) if j != gts[i]))
+            plus = [gts[i]] + [j for _, j in ranked[:k]]
+            members.append(plus[1:])
+            z = scores[i, plus] / temperature
+            logp = z - z.max() - np.log(np.exp(z - z.max()).sum())
+            p = np.exp(logp)
+            values[i] = -(h[i] * logp).sum()
+            if mode == GRAD_MODE_EXACT:
+                grad[i, plus] = (p * h[i].sum() - h[i]) / temperature
+            else:
+                grad[i, plus] = p - h[i]
+        return np.array(members), values, grad
+
+    @pytest.mark.parametrize("mode", [GRAD_MODE_EXACT, GRAD_MODE_PAPER])
+    def test_value_is_mean_and_grad_is_reference_over_n(self, rng, mode):
+        n, pool, k = 6, 5, 4
+        scores = rng.normal(size=(n, n + pool))
+        gts = rng.integers(0, n + pool, size=n)
+        s = SimilarityMatrix(scores, temperature=0.7)
+        ns = select_neighbors(s, k, ground_truth=gts)
+        h = neighbor_targets(SimilarityMatrix(scores - rng.uniform(0, 0.3, n + pool),
+                                              0.7), ns)
+        members, values, grad = self._reference(scores, gts, k, h, mode, 0.7)
+        np.testing.assert_array_equal(ns.members, members)
+        out = loss_nbi(s, h, ns, mode)
+        np.testing.assert_allclose(out.per_sample, values, rtol=1e-12)
+        assert out.value == pytest.approx(values.mean(), rel=1e-12)
+        np.testing.assert_allclose(out.grad, grad / n, rtol=1e-12, atol=1e-15)
+
+    def test_rejects_duplicate_member(self):
+        with pytest.raises(ValueError, match="distinct"):
+            NeighborSet([[1, 2], [2, 2]], ground_truth=[0, 0])
+
+    def test_rejects_member_equal_to_ground_truth(self):
+        with pytest.raises(ValueError, match="ground-truth"):
+            NeighborSet([[1, 2], [0, 2]], ground_truth=[0, 2])
+
+    @pytest.mark.parametrize("gt", [-1, 5])
+    def test_rejects_ground_truth_outside_grid(self, rng, gt):
+        s = SimilarityMatrix(rng.normal(size=(2, 5)))
+        with pytest.raises(ValueError, match="outside"):
+            select_neighbors(s, 2, ground_truth=[0, gt])
 
 
 class TestLossKl:

@@ -131,8 +131,8 @@ class TestStationaryPoint:
         assert max_rel_error(out.grad, fd) < 1e-8
 
         flat = SimilarityMatrix(np.full((1, 2), 0.3))
-        ns = NeighborSet(0, [1], ground_truth=0)
-        h = np.array([1.0, 1.0])
+        ns = NeighborSet([[1]], ground_truth=[0])
+        h = np.array([[1.0, 1.0]])
         bundle = loss_nbi(flat, h, ns)
         fd = fd_grad(lambda x: loss_nbi(SimilarityMatrix(x), h, ns).value,
                      flat.scores)
@@ -201,6 +201,12 @@ class TestTraining:
         monkeypatch.setattr(tr, "batch_loss", poisoned)
         with pytest.raises(DivergenceDetected):
             train(small_config(epochs=1), tiny_data)
+
+    @pytest.mark.parametrize("model", ["embedding-table", "linear-projection"])
+    def test_overflowing_step_names_the_step(self, tiny_data, model):
+        # the projection's norms overflow to inf, which would zero its rows
+        with pytest.raises(DivergenceDetected, match=r"at step [01]$"):
+            train(small_config(learning_rate=1e300, model=model), tiny_data)
 
     def test_projection_model_trains(self, tiny_data):
         result = train(small_config(model="linear-projection", epochs=1),
