@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MODALITIES, EmbeddingSet, opposite
+from .core import MODALITIES, EmbeddingSet, opposite, require_unit_rows
 from .errors import BatchTooLarge, DimensionMismatch, EmptyBank, NonPositiveKappa
 
 KIND_INTRA = "intra"
 KIND_CROSS = "cross"
-
-_UNIT_ATOL = 1e-6
 
 
 @dataclass
@@ -67,9 +65,7 @@ def push_batch(bank: MemoryBank, batch: EmbeddingSet) -> MemoryBank:
         raise DimensionMismatch(f"batch dim {batch.dim} != bank dim {bank.dim}")
     if batch.n > bank.capacity:
         raise BatchTooLarge(f"batch of {batch.n} exceeds capacity {bank.capacity}")
-    norms = np.sqrt((batch.data ** 2).sum(axis=1))
-    if not np.allclose(norms, 1.0, atol=_UNIT_ATOL):
-        raise ValueError("bank only stores unit-norm vectors; normalize first")
+    require_unit_rows(batch.data, "bank only stores unit-norm vectors; normalize first")
     merged = np.concatenate([bank._slots[batch.modality], batch.data.copy()], axis=0)
     bank._slots[batch.modality] = merged[-bank.capacity:]
     return bank

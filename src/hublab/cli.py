@@ -30,7 +30,7 @@ from .core import MODALITY_GALLERY, EmbeddingSet, cosine_similarity_matrix
 from .errors import ConfigError, HubLabError
 from .eval import retrieval_eval, infer_simi_cent
 from .hubness import (RelevanceLabels, hubness_report, pseudo_positive_probe,
-                      top_k_indices, worker_count)
+                      top_k_indices)
 from .trainer import CURVE_COLUMNS, PairedData, synth_generate, train
 
 
@@ -81,7 +81,7 @@ def cmd_analyze(args) -> Path:
     galleries = hio.read_embedding_set(resolved["galleries"])
     s = cosine_similarity_matrix(queries, galleries)
     report = hubness_report(s, resolved["k"], resolved["hub_size_factor"],
-                            resolved["atkinson_epsilon"], workers=worker_count())
+                            resolved["atkinson_epsilon"])
     out = _artifact_dir(args.out, "analyze", resolved)
     _write_json(out / "report.json", "analyze", resolved,
                 {"report": report.to_dict()})
@@ -130,8 +130,6 @@ def cmd_retrieve(args) -> Path:
     resolved = _resolved(args, **overrides)
     if not resolved["queries"] or not resolved["galleries"]:
         raise ConfigError("retrieve needs --queries and --galleries")
-    if resolved["mode"] not in ("simi", "simi-cent"):
-        raise ConfigError(f"mode must be 'simi' or 'simi-cent', got {resolved['mode']!r}")
     queries = hio.read_embedding_set(resolved["queries"])
     galleries = hio.read_embedding_set(resolved["galleries"])
     s = cosine_similarity_matrix(queries, galleries)
@@ -156,7 +154,7 @@ def cmd_retrieve(args) -> Path:
                 {"mode": resolved["mode"], "scores": scores.to_dict()})
     gallery_ids = galleries.ids or [f"g{j:05d}" for j in range(s.m)]
     query_ids = queries.ids or [f"q{i:05d}" for i in range(s.n)]
-    top = top_k_indices(s.scores, min(10, s.m), worker_count())
+    top = top_k_indices(s.scores, min(10, s.m))
     with open(out / "ranked.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "rank", "gallery_id", "score"])

@@ -46,6 +46,17 @@ DEFAULTS: dict = {
     "bank": None,
 }
 
+# the range of each key outside TrainConfig, which checks its own fields
+_RANGES = {
+    "probe_threshold": (lambda v: -1.0 <= v <= 1.0, "lie in [-1, 1]"),
+    "n_pairs": (lambda v: v >= 1, "be >= 1"),
+    "dim": (lambda v: v >= 1, "be >= 1"),
+    "hub_fraction": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    "contraction": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "noise": (lambda v: v >= 0.0, "be >= 0"),
+    "mode": (lambda v: v in ("simi", "simi-cent"), "be 'simi' or 'simi-cent'"),
+}
+
 _TYPE_NAMES = {str: "a string", bool: "a boolean", int: "an integer"}
 
 
@@ -88,7 +99,8 @@ def load_config_file(path) -> dict:
 
 def resolve_config(file_config: dict | None = None,
                    overrides: dict | None = None) -> dict:
-    """Merge defaults, a config file, and CLI overrides into the full map."""
+    """Merge defaults, a config file, and CLI overrides into the full map;
+    a value outside its key's range is a ConfigError."""
     resolved = dict(DEFAULTS)
     for source in (file_config or {}, overrides or {}):
         for key, value in source.items():
@@ -97,6 +109,13 @@ def resolve_config(file_config: dict | None = None,
             if value is None and DEFAULTS[key] is not None:
                 continue
             resolved[key] = _check_type(key, value)
+    for key, (within, rule) in _RANGES.items():
+        if not within(resolved[key]):
+            raise ConfigError(f"{key} must {rule}, got {resolved[key]!r}")
+    try:
+        train_config_from(resolved)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return resolved
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, NotUnitNorm, ZeroVector
 
 MODALITY_QUERY = "query"
 MODALITY_GALLERY = "gallery"
@@ -94,6 +94,12 @@ class SimilarityMatrix:
 
 def row_norms(data: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", data, data))
+
+
+def require_unit_rows(data: np.ndarray, message: str) -> None:
+    """Raise NotUnitNorm(message) unless every row has norm 1 within 1e-6."""
+    if not np.allclose(row_norms(data), 1.0, atol=1e-6):
+        raise NotUnitNorm(message)
 
 
 def l2_normalize(e: EmbeddingSet) -> EmbeddingSet:

@@ -34,6 +34,10 @@ class BatchTooLarge(HubLabError, ValueError):
     pass
 
 
+class NotUnitNorm(HubLabError, ValueError):
+    """Rows that must be unit-normalized are not."""
+
+
 class EmptyBank(HubLabError, ValueError):
     pass
 

@@ -7,19 +7,18 @@ report bundles six distributional statistics of N_k plus the count-of-
 counts histogram.
 
 All neighbor selection is exact; ties break toward the lower gallery
-index so results are reproducible across platforms.
+index so results are reproducible across platforms: ``top_k_indices``
+partitions out each row's k best columns and sorts them stably.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingSet, SimilarityMatrix
+from .core import EmbeddingSet, SimilarityMatrix, require_unit_rows
 from .errors import (
     AllZero,
     DegenerateDistribution,
@@ -30,20 +29,6 @@ from .errors import (
 )
 
 _SIGMA_FLOOR = 1e-12
-
-THREADS_ENV = "HUBLAB_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap for row-parallel loops, honoring HUBLAB_THREADS."""
-    cap = os.cpu_count() or 1
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            cap = min(cap, max(1, int(env)))
-        except ValueError:
-            warnings.warn(f"ignoring non-integer {THREADS_ENV}={env!r}")
-    return cap
 
 
 @dataclass
@@ -130,39 +115,34 @@ class HubnessReport:
         }
 
 
-def top_k_indices(scores: np.ndarray, k: int, workers: int = 1) -> np.ndarray:
-    """Row-wise top-k column indices by descending score, ties to lower index.
+def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise top-k column indices by descending score, ties to lower index,
+    equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``.
 
-    Rows are independent, so with ``workers > 1`` they are processed in
-    chunks on a thread pool; each chunk writes a disjoint slice of the
-    output, keeping the result identical to the serial path.
+    ``np.argpartition`` finds each row's k best columns, which get a stable
+    sort in column order. A row whose k-th score also appears outside them,
+    and every row when k is outside (0, m), is sorted in full.
     """
-    n = scores.shape[0]
-    out = np.empty((n, k), dtype=np.intp)
-
-    def fill(lo: int, hi: int) -> None:
-        out[lo:hi] = np.argsort(-scores[lo:hi], axis=1, kind="stable")[:, :k]
-
-    workers = max(1, min(workers, n))
-    if workers == 1:
-        fill(0, n)
-        return out
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fill, lo, hi)
-                   for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        for fut in futures:
-            fut.result()
-    return out
+    neg = -scores
+    if not 0 < k < scores.shape[1]:
+        return np.argsort(neg, axis=1, kind="stable")[:, :k]
+    kept = np.sort(np.argpartition(neg, k - 1, axis=1)[:, :k], axis=1)
+    kept_neg = np.take_along_axis(neg, kept, axis=1)
+    top = np.take_along_axis(kept, np.argsort(kept_neg, axis=1, kind="stable"), axis=1)
+    # a NaN k-th score counts no column, so its row is sorted in full too
+    kth = kept_neg.max(axis=1)
+    tied = np.flatnonzero((neg <= kth[:, None]).sum(axis=1) != k)
+    top[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+    return top
 
 
-def k_occurrence(s: SimilarityMatrix, k: int, workers: int = 1) -> KOccurrence:
+def k_occurrence(s: SimilarityMatrix, k: int) -> KOccurrence:
     """Count how often each gallery column lands in a query row's top k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > s.m:
         raise KTooLarge(f"k={k} exceeds gallery size {s.m}")
-    top = top_k_indices(s.scores, k, workers)
+    top = top_k_indices(s.scores, k)
     counts = np.bincount(top.ravel(), minlength=s.m)
     return KOccurrence(counts, k, s.n)
 
@@ -176,14 +156,10 @@ def good_bad_occurrence(s: SimilarityMatrix, k: int,
     if k > s.m:
         raise KTooLarge(f"k={k} exceeds gallery size {s.m}")
     top = top_k_indices(s.scores, k)
-    rows = np.repeat(np.arange(s.n), k)
+    relevant = np.take_along_axis(labels.matrix, top, axis=1).ravel()
     cols = top.ravel()
-    relevant = labels.matrix[rows, cols]
-    good = np.zeros(s.m, dtype=np.int64)
-    bad = np.zeros(s.m, dtype=np.int64)
-    np.add.at(good, cols[relevant], 1)
-    np.add.at(bad, cols[~relevant], 1)
-    return good, bad
+    return (np.bincount(cols[relevant], minlength=s.m),
+            np.bincount(cols[~relevant], minlength=s.m))
 
 
 def _population_skew(values: np.ndarray) -> float:
@@ -253,9 +229,7 @@ def pseudo_positive_probe(texts: EmbeddingSet, threshold: float) -> RelevanceLab
     symmetric. Expects unit-normalized rows."""
     if not -1.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [-1, 1], got {threshold}")
-    norms = np.sqrt((texts.data ** 2).sum(axis=1))
-    if not np.allclose(norms, 1.0, atol=1e-6):
-        raise ValueError("probe expects unit-normalized text embeddings")
+    require_unit_rows(texts.data, "probe expects unit-normalized text embeddings")
     sims = texts.data @ texts.data.T
     sims = 0.5 * (sims + sims.T)
     matrix = sims >= threshold
@@ -271,10 +245,9 @@ def count_histogram(occ: KOccurrence) -> list:
 
 def hubness_report(s: SimilarityMatrix, k: int,
                    hub_size_factor: float = 2.0,
-                   atkinson_epsilon: float = 0.5,
-                   workers: int = 1) -> HubnessReport:
+                   atkinson_epsilon: float = 0.5) -> HubnessReport:
     """All six N_k statistics plus the histogram from one shared count pass."""
-    occ = k_occurrence(s, k, workers)
+    occ = k_occurrence(s, k)
     return HubnessReport(
         skewness=skewness(occ),
         truncated_skewness=truncated_skewness(occ),

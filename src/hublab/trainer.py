@@ -107,6 +107,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        if not 0.0 < self.atkinson_epsilon < 1.0:
+            raise ValueError("atkinson_epsilon must lie in (0, 1)")
 
 
 @dataclass

@@ -332,6 +332,27 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         labels.write_text(json.dumps({"pairs": [[i, i] for i in range(4)] + [pair]}))
         return ["retrieve", "--queries", str(q), "--galleries", str(g),
                 "--labels", str(labels)]
+    if probe in ("config-k-neighbors", "config-n-pairs", "config-atkinson"):
+        # a TrainConfig range, a data key, and a key checked only after training
+        key, value = {"config-k-neighbors": ("k_neighbors", 0),
+                      "config-n-pairs": ("n_pairs", 0),
+                      "config-atkinson": ("atkinson_epsilon", 1.0)}[probe]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_pairs": 16, "dim": 4, "batch_size": 8,
+                                   "epochs": 1, "k_neighbors": 3, key: value}))
+        return ["train", "--config", str(cfg)]
+    if probe == "analyze-k0":
+        return analyze + ["--k", "0"]
+    if probe in ("probe-threshold", "probe-not-unit"):
+        texts = tmp_path / "t.emb"
+        scale = 1.0 if probe == "probe-threshold" else 2.0
+        hio.write_embeddings(texts, scale * random_unit_rows(rng, 4, 3), "query")
+        threshold = ["--threshold", "2"] if probe == "probe-threshold" else []
+        return ["probe", "--texts", str(texts)] + threshold
+    if probe == "simi-cent-not-unit":
+        hio.write_embeddings(g, 2.0 * random_unit_rows(rng, 4, 3), "gallery")
+        return ["retrieve", "--queries", str(q), "--galleries", str(g),
+                "--mode", "simi-cent"]
     if probe in ("diverge-table", "diverge-projection"):
         cfg = tmp_path / "cfg.json"
         model = "embedding-table" if probe == "diverge-table" else "linear-projection"
@@ -347,7 +368,9 @@ class TestBadInput:
     @pytest.mark.parametrize("probe", [
         "nan-config", "nan-payload", "nan-bank", "bad-sidecar", "short-sidecar",
         "label-out-of-range", "label-negative", "missing-file", "diverge-table",
-        "diverge-projection"])
+        "diverge-projection", "config-k-neighbors", "config-n-pairs",
+        "config-atkinson", "analyze-k0", "probe-threshold", "probe-not-unit",
+        "simi-cent-not-unit"])
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,
                                                       capsys, rng):
         argv = _probe_argv(probe, tmp_path, rng)
@@ -372,16 +395,6 @@ class TestEndToEnd:
         doc = json.loads((an_dir / "report.json").read_text())
         assert doc["config"]["k"] == 15
         assert doc["report"]["hub"] > 0.2
-
-    def test_workers_env_cap(self, monkeypatch):
-        from hublab.hubness import worker_count
-        monkeypatch.setenv("HUBLAB_THREADS", "1")
-        assert worker_count() == 1
-        monkeypatch.setenv("HUBLAB_THREADS", "not-a-number")
-        with pytest.warns(UserWarning):
-            assert worker_count() >= 1
-        monkeypatch.delenv("HUBLAB_THREADS")
-        assert worker_count() >= 1
 
     @pytest.mark.slow
     def test_train_default_config_reduces_hubs(self, tmp_path, capsys):

@@ -28,6 +28,11 @@ class TestSinkhorn:
         col_sums = [sum(plan.q[i, j] for i in range(6)) for j in range(8)]
         np.testing.assert_allclose(row_sums, 1.0 / 6.0, atol=1e-8)
         np.testing.assert_allclose(col_sums, 1.0 / 8.0, atol=1e-8)
+        # the last column update leaves the columns exact up to rounding,
+        # so the residual only needs the row error
+        np.testing.assert_allclose(col_sums, 1.0 / 8.0, rtol=0, atol=1e-14)
+        row_error = sum(abs(r - 1.0 / 6.0) for r in row_sums)
+        assert abs(plan.residual - row_error) <= 1e-14
 
     def test_entries_nonnegative(self, rng):
         s = SimilarityMatrix(rng.normal(size=(5, 7)))
