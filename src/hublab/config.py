@@ -46,8 +46,10 @@ DEFAULTS: dict = {
     "bank": None,
 }
 
-# the range of each key outside TrainConfig, which checks its own fields
+# the range of each key outside TrainConfig, which checks its own fields,
+# and of k, so that its error names the key and not the field report_k
 _RANGES = {
+    "k": (lambda v: v >= 1, "be >= 1"),
     "probe_threshold": (lambda v: -1.0 <= v <= 1.0, "lie in [-1, 1]"),
     "n_pairs": (lambda v: v >= 1, "be >= 1"),
     "dim": (lambda v: v >= 1, "be >= 1"),

@@ -107,6 +107,10 @@ class DivergenceDetected(HubLabError, RuntimeError):
     pass
 
 
+class NonFiniteLoss(DivergenceDetected, ValueError):
+    """A loss value or gradient overflowed or became NaN."""
+
+
 class FormatError(HubLabError, ValueError):
     pass
 

@@ -19,6 +19,7 @@ from .errors import (
     InconsistentTargets,
     LengthMismatch,
     MissingPart,
+    NonFiniteLoss,
     NonSquareBatch,
     ShapeMismatch,
 )
@@ -48,9 +49,9 @@ class LossBundle:
     def __post_init__(self):
         self.grad = np.asarray(self.grad, dtype=np.float64)
         if not np.isfinite(self.value):
-            raise ValueError("loss value is not finite")
+            raise NonFiniteLoss("loss value is not finite")
         if not np.all(np.isfinite(self.grad)):
-            raise ValueError("loss gradient contains non-finite entries")
+            raise NonFiniteLoss("loss gradient contains non-finite entries")
 
 
 @dataclass

@@ -474,7 +474,8 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
                 step += 1
         full_q, full_g = model.full_embeddings()
     except DivergenceDetected as exc:
-        raise DivergenceDetected(f"{exc} at step {step}") from None
+        # keep the subclass, so that a NonFiniteLoss is still a ValueError
+        raise type(exc)(f"{exc} at step {step}") from None
 
     report_after = _full_report(config, model)
     return TrainResult(

@@ -359,16 +359,29 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         cfg.write_text(json.dumps({"learning_rate": 1e300, "epochs": 2, "n_pairs": 64,
                                    "batch_size": 32, "model": model}))
         return ["train", "--config", str(cfg)]
+    if probe == "diverge-kappa":
+        # the centrality weights exp(C / kappa) overflow before any norm does
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_pairs": 16, "dim": 4, "batch_size": 8, "epochs": 1,
+                                   "k_neighbors": 3, "kappa": 1e-300}))
+        return ["train", "--config", str(cfg)]
     assert probe == "missing-file"
     return ["analyze", "--queries", str(tmp_path / "absent.emb"),
             "--galleries", str(g)]
+
+
+# the start of the error line for probes whose wording is pinned
+_PROBE_ERRORS = {
+    "analyze-k0": "error: k must be >= 1",
+    "diverge-kappa": "error: loss value is not finite at step ",
+}
 
 
 class TestBadInput:
     @pytest.mark.parametrize("probe", [
         "nan-config", "nan-payload", "nan-bank", "bad-sidecar", "short-sidecar",
         "label-out-of-range", "label-negative", "missing-file", "diverge-table",
-        "diverge-projection", "config-k-neighbors", "config-n-pairs",
+        "diverge-projection", "diverge-kappa", "config-k-neighbors", "config-n-pairs",
         "config-atkinson", "analyze-k0", "probe-threshold", "probe-not-unit",
         "simi-cent-not-unit"])
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,
@@ -377,7 +390,7 @@ class TestBadInput:
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith(_PROBE_ERRORS.get(probe, "error:"))
         assert captured.out == ""
         assert not out.exists() or not any(out.rglob("*"))
 

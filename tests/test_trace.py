@@ -51,6 +51,10 @@ def test_traced_train_counts_and_uninstall(tmp_path, capsys):
     for counter in ("losses.nbi_calls", "losses.select_calls"):
         assert metrics[counter] == 2 * metrics["trainer.steps"], counter
     assert 0 < metrics["losses.nbi_useful_ratio"] <= 1
+    # use_opt is on by default: one solve per step, read from each TransportPlan
+    assert metrics["transport.sinkhorn_calls"] == metrics["trainer.steps"]
+    assert metrics["transport.sinkhorn_iters"] >= metrics["trainer.steps"]
+    assert metrics["transport.us_per_iter"] > 0
 
 
 def test_traced_analyze_counts_top_k(tmp_path, capsys, rng):

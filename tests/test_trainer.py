@@ -12,7 +12,7 @@ from hublab import (
     synth_generate,
     train,
 )
-from hublab.errors import DivergenceDetected, InvalidFraction
+from hublab.errors import DivergenceDetected, InvalidFraction, NonFiniteLoss
 from hublab.trainer import Adam
 
 
@@ -207,6 +207,15 @@ class TestTraining:
         # the projection's norms overflow to inf, which would zero its rows
         with pytest.raises(DivergenceDetected, match=r"at step [01]$"):
             train(small_config(learning_rate=1e300, model=model), tiny_data)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_loss_names_the_step(self, tiny_data):
+        # exp(C / kappa) overflows once the bank holds rows; library callers
+        # may still catch the error as a ValueError
+        with pytest.raises(NonFiniteLoss, match=r"not finite at step [1-9]\d*$") as info:
+            train(small_config(kappa=1e-300), tiny_data)
+        assert isinstance(info.value, DivergenceDetected)
+        assert isinstance(info.value, ValueError)
 
     def test_projection_model_trains(self, tiny_data):
         result = train(small_config(model="linear-projection", epochs=1),

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hublab import SimilarityMatrix, blend_targets, loss_opt, sinkhorn_plan
-from hublab.core import row_softmax
+from hublab.core import logsumexp, row_softmax
 from hublab.errors import NonSquarePlan, NotConverged, ShapeMismatch
-from hublab.transport import BlendedTarget, TransportPlan
+from hublab.transport import KERNEL_RANGE, BlendedTarget, TransportPlan
 
 from conftest import fd_grad, max_rel_error, random_unit_rows
 
@@ -70,6 +72,103 @@ class TestSinkhorn:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             sinkhorn_plan(SimilarityMatrix(np.zeros((2, 2))), 0.0)
+
+    def test_max_iter_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            sinkhorn_plan(SimilarityMatrix(np.zeros((2, 2))), 0.05, max_iter=0)
+
+
+def _log_domain_reference(scores, epsilon, tol, max_iter):
+    """Sinkhorn on log-domain potentials: (plan, iterations, residual)."""
+    a = scores / epsilon
+    n, m = a.shape
+    lse = logsumexp(a, axis=1)
+    for iterations in range(1, max_iter + 1):
+        f = -np.log(n) - lse
+        g = -np.log(m) - logsumexp(a + f[:, None], axis=0)
+        lse = logsumexp(a + g[None, :], axis=1)
+        residual = np.abs(np.exp(f + lse) - 1.0 / n).sum()
+        if residual <= tol:
+            break
+    return np.exp(a + f[:, None] + g[None, :]), iterations, residual
+
+
+def _cosine_grid(seed, n, m, ratio):
+    """Cosines of random unit rows, and the epsilon that makes their range
+    ``ratio`` epsilons wide."""
+    rng = np.random.default_rng(seed)
+    scores = random_unit_rows(rng, n, 6) @ random_unit_rows(rng, m, 6).T
+    return scores, (scores.max() - scores.min()) / ratio
+
+
+def _solve(scores, epsilon, tol, max_iter):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return sinkhorn_plan(SimilarityMatrix(scores), epsilon, tol, max_iter)
+
+
+class TestKernelDomain:
+    # tol 1e-4 keeps the residual far above the reference's rounding: its
+    # row sums exp(f + lse) add potentials of the order of the range (up to
+    # 350), which costs about 4e-14 absolute
+    @pytest.mark.parametrize("seed,n,m,ratio", [
+        (0, 12, 9, 10.0), (1, 16, 16, 60.0), (2, 7, 13, 150.0),
+        (3, 11, 8, 250.0), (4, 9, 14, KERNEL_RANGE - 1.0)])
+    def test_matches_log_domain_reference(self, seed, n, m, ratio):
+        scores, epsilon = _cosine_grid(seed, n, m, ratio)
+        plan = _solve(scores, epsilon, 1e-4, 2000)
+        q, iterations, residual = _log_domain_reference(scores, epsilon, 1e-4, 2000)
+        assert plan.iterations_used == iterations
+        np.testing.assert_allclose(plan.q, q, rtol=1e-12, atol=0)
+        assert plan.residual == pytest.approx(residual, rel=1e-9, abs=0)
+
+    # On grids that need about 2000 iterations the log-domain reference
+    # drifts from the kernel path by up to 3e-11; the same scaling in
+    # extended precision sides with the kernel path (it is at most 8e-14
+    # away), so those grids are checked against that instead.
+    @pytest.mark.parametrize("seed,n,m,ratio", [
+        (3, 10, 10, 250.0), (5, 8, 16, 153.0), (8, 12, 12, 300.0)])
+    def test_slow_grid_matches_extended_precision(self, seed, n, m, ratio):
+        scores, epsilon = _cosine_grid(seed, n, m, ratio)
+        plan = _solve(scores, epsilon, 1e-4, 2000)
+        _, iterations, residual = _log_domain_reference(scores, epsilon, 1e-4, 2000)
+        assert plan.iterations_used == iterations >= 1900
+        assert plan.residual == pytest.approx(residual, rel=1e-9, abs=0)
+        a = scores.astype(np.longdouble) / np.longdouble(epsilon)
+        k = np.exp(a - a.max())
+        kv = k.sum(axis=1)
+        for _ in range(iterations):
+            u = (np.longdouble(1) / n) / kv
+            v = (np.longdouble(1) / m) / (k.T @ u)
+            kv = k @ v
+        np.testing.assert_allclose(plan.q, u[:, None] * k * v[None, :],
+                                   rtol=2e-13, atol=0)
+
+    def test_wide_range_falls_back_to_log_domain(self, rng):
+        # a dominant diagonal converges quickly even just above the switch
+        scores = np.eye(8) + 0.1 * rng.uniform(size=(8, 8))
+        epsilon = (scores.max() - scores.min()) / (KERNEL_RANGE + 10.0)
+        plan = sinkhorn_plan(SimilarityMatrix(scores), epsilon, 1e-9, 2000)
+        q, iterations, residual = _log_domain_reference(scores, epsilon, 1e-9, 2000)
+        assert np.all(np.isfinite(plan.q))
+        assert plan.residual <= 1e-9 and not plan.warning
+        np.testing.assert_array_equal(plan.q, q)
+        assert (plan.iterations_used, plan.residual) == (iterations, residual)
+
+    @pytest.mark.parametrize("isolated", ["row", "column"])
+    def test_isolated_line_just_below_the_switch(self, rng, isolated):
+        # one row (or column) at the bottom of the range drives its scaling
+        # u (or v) to about exp(KERNEL_RANGE) and its K v down to 1e-150
+        scores = rng.uniform(0.9, 1.0, size=(8, 8))
+        scores[0] = 0.0
+        if isolated == "column":
+            scores = scores.T.copy()
+        epsilon = (scores.max() - scores.min()) / (KERNEL_RANGE - 1.0)
+        plan = sinkhorn_plan(SimilarityMatrix(scores), epsilon, 1e-9, 5000)
+        assert np.all(np.isfinite(plan.q)) and plan.q.min() >= 0.0
+        assert plan.residual <= 1e-9 and not plan.warning
+        np.testing.assert_allclose(plan.q.sum(axis=0), 1.0 / 8.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(plan.q.sum(axis=1), 1.0 / 8.0, rtol=0, atol=1e-9)
 
 
 class TestBlendTargets:
