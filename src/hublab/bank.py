@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MODALITIES, EmbeddingSet, opposite, require_unit_rows
-from .errors import BatchTooLarge, DimensionMismatch, EmptyBank, NonPositiveKappa
+from .errors import (
+    BatchTooLarge,
+    DimensionMismatch,
+    EmptyBank,
+    NonFiniteLoss,
+    NonPositiveKappa,
+)
 
 KIND_INTRA = "intra"
 KIND_CROSS = "cross"
@@ -103,7 +109,11 @@ def centrality_weights(c: CentralityVector, kappa: float,
         raise NonPositiveKappa(f"kappa must be positive, got {kappa}")
     if c.kind != KIND_INTRA:
         raise ValueError("centrality weights are defined on intra-modal centrality")
-    w = np.exp(c.values / kappa)
+    with np.errstate(over="ignore"):
+        w = np.exp(c.values / kappa)
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteLoss(f"centrality weights exp(C / kappa) with kappa {kappa!r} "
+                            "are not finite")
     if normalize:
         w = w / w.mean()
     return w

@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .trainer import TrainConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _key(field_name: str) -> str:

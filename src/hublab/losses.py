@@ -28,7 +28,7 @@ from .hubness import top_k_indices
 GRAD_MODE_EXACT = "exact"
 GRAD_MODE_PAPER = "paper"
 
-LOSS_PARTS = ("wti", "nbi", "opt", "kl")
+LOSS_PARTS = ("wti", "nbi", "opt")
 DIRECTIONS = ("q2g", "g2q")
 
 
@@ -221,16 +221,17 @@ def loss_kl(low: SimilarityMatrix, high: SimilarityMatrix,
 def total_loss(parts: dict[str, dict[str, LossBundle]]) -> LossBundle:
     """Half-sum of all loss parts over both retrieval directions.
 
-    ``parts`` maps direction ('q2g', 'g2q') to a mapping with the keys
-    'wti', 'nbi', 'opt' and 'kl'. Gallery-to-query gradients are transposed
-    into the query-to-gallery frame before combining.
+    ``parts`` maps direction ('q2g', 'g2q') to a mapping with exactly the
+    keys 'wti', 'nbi' and 'opt' of LOSS_PARTS, or MissingPart is raised.
+    Gallery-to-query gradients are transposed into the query-to-gallery
+    frame before combining.
     """
     for direction in DIRECTIONS:
         if direction not in parts:
             raise MissingPart(f"missing direction {direction!r}")
-        for name in LOSS_PARTS:
-            if name not in parts[direction]:
-                raise MissingPart(f"missing part {name!r} for direction {direction!r}")
+        if sorted(parts[direction]) != sorted(LOSS_PARTS):
+            raise MissingPart(f"direction {direction!r} has the parts "
+                              f"{sorted(parts[direction])}, expected {sorted(LOSS_PARTS)}")
     value = 0.0
     grad = None
     for direction in DIRECTIONS:

@@ -20,6 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank import (
+    KIND_CROSS,
+    CentralityVector,
     MemoryBank,
     centrality_weights,
     cross_centrality,
@@ -35,14 +37,15 @@ from .core import (
     l2_normalize,
     opposite,
 )
-from .errors import DivergenceDetected, InvalidFraction
+from .errors import DivergenceDetected, InvalidFraction, NotConverged
 from .hubness import HubnessReport, RelevanceLabels, hubness_report
 from .losses import (
     GRAD_MODE_EXACT,
     GRAD_MODE_PAPER,
     LOSS_PARTS,
     LossBundle,
-    loss_kl,
+    decentral_similarity,
+    loss_kl,  # not called here; benchmarks/spans.py wraps hublab.trainer.loss_kl by name
     loss_nbi,
     loss_wti,
     neighbor_targets,
@@ -78,12 +81,10 @@ class TrainConfig:
     batch_size: int = 128
     seed: int = 0
     grad_mode: str = GRAD_MODE_EXACT
-    normalize_weights: bool = True
     model: str = MODEL_TABLE
     use_wti: bool = True
     use_nbi: bool = True
     use_opt: bool = True
-    use_kl: bool = True
     neighbor_pool: str = POOL_BATCH
     report_k: int = 15
     hub_size_factor: float = 2.0
@@ -212,23 +213,24 @@ class _Model:
 
     params: list
 
-    def forward(self, idx) -> tuple[np.ndarray, np.ndarray]:
-        eq, eg = (raw / _finite_norms(raw) for raw in self._raw(idx))
-        return eq, eg
+    def forward(self, idx) -> tuple[np.ndarray, np.ndarray, list]:
+        """Unit query and gallery rows, and the norms of their raw rows."""
+        raws = self._raw(idx)
+        norms = [_finite_norms(raw) for raw in raws]
+        return raws[0] / norms[0], raws[1] / norms[1], norms
 
     def full_embeddings(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.forward(slice(None))
+        return self.forward(slice(None))[:2]
 
-    def backward(self, idx, eq, eg, grad_s, extra_q=None, extra_g=None):
+    def backward(self, idx, eq, eg, norms, grad_s, extra_q=None, extra_g=None):
         """Parameter gradients from dL/dS, plus any direct gradients on the
         embeddings, through the row normalization of ``forward``."""
         d_raw = []
-        for d_e, e, extra, raw in zip((grad_s @ eg, grad_s.T @ eq), (eq, eg),
-                                      (extra_q, extra_g), self._raw(idx)):
+        for d_e, e, extra, norm in zip((grad_s @ eg, grad_s.T @ eq), (eq, eg),
+                                       (extra_q, extra_g), norms):
             if extra is not None:
                 d_e = d_e + extra
-            d_raw.append((d_e - (d_e * e).sum(axis=1, keepdims=True) * e)
-                         / np.linalg.norm(raw, axis=1, keepdims=True))
+            d_raw.append((d_e - (d_e * e).sum(axis=1, keepdims=True) * e) / norm)
         return self._param_grads(idx, d_raw)
 
     def postprocess(self):
@@ -324,7 +326,7 @@ def _weights_for(bank: MemoryBank, batch: EmbeddingSet, config: TrainConfig):
     if bank.fill(batch.modality) == 0:
         return np.ones(batch.n)
     c = intra_centrality(bank, batch)
-    return centrality_weights(c, config.kappa, config.normalize_weights)
+    return centrality_weights(c, config.kappa)
 
 
 def _cross_values(bank: MemoryBank, batch: EmbeddingSet) -> np.ndarray:
@@ -379,10 +381,10 @@ def compute_targets(config: TrainConfig, bank: MemoryBank,
             if pool is not None:
                 pool_set = EmbeddingSet(pool, cands.modality)
                 cross = np.concatenate([cross, _cross_values(bank, pool_set)])
-            cand_scores = _candidate_scores(anchors.data, dir_scores, pool)
-            ns = select_neighbors(SimilarityMatrix(cand_scores, config.temperature),
-                                  config.k_neighbors)
-            s_tilde = SimilarityMatrix(cand_scores - cross[None, :], config.temperature)
+            s = SimilarityMatrix(_candidate_scores(anchors.data, dir_scores, pool),
+                                 config.temperature)
+            ns = select_neighbors(s, config.k_neighbors)
+            s_tilde = decentral_similarity(s, CentralityVector(cross, KIND_CROSS))
             nbi = ns, neighbor_targets(s_tilde, ns)
         opt = blend_targets(plans[name], config.beta) if config.use_opt else eye
         directions[name] = _Direction(weights, pool, nbi, opt)
@@ -419,11 +421,6 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
                 ext[name] = 0.5 * (nbi.grad[:, b:] @ target.pool)
         if config.use_opt:
             part["opt"] = loss_opt(s, target.opt)
-        if config.use_kl:
-            # single-vector mode: the high level coincides with the low level,
-            # so the loss is identically zero but the path stays assembled
-            kl = loss_kl(s, s)
-            part["kl"] = LossBundle(kl.value, kl.grad + kl.grad_high)
 
     total = total_loss(parts)
     part_values = {part: 0.5 * (parts["q2g"][part].value + parts["g2q"][part].value)
@@ -452,14 +449,12 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
                 idx = order[start: start + config.batch_size]
                 if idx.size < 2:
                     continue
-                eq, eg = model.forward(idx)
+                eq, eg, norms = model.forward(idx)
                 targets = compute_targets(config, bank, eq, eg)
                 value, part_values, grad_s, ext_q, ext_g = batch_loss(
                     config, eq, eg, targets)
-                if not np.isfinite(value):
-                    raise DivergenceDetected("loss became non-finite")
                 if not frozen:
-                    grads = model.backward(idx, eq, eg, grad_s, ext_q, ext_g)
+                    grads = model.backward(idx, eq, eg, norms, grad_s, ext_q, ext_g)
                     adam.step(model.params, grads)
                     model.postprocess()
                 push_batch(bank, EmbeddingSet(eq, MODALITY_QUERY))
@@ -473,9 +468,10 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
                 })
                 step += 1
         full_q, full_g = model.full_embeddings()
-    except DivergenceDetected as exc:
-        # keep the subclass, so that a NonFiniteLoss is still a ValueError
-        raise type(exc)(f"{exc} at step {step}") from None
+    except (DivergenceDetected, NotConverged) as exc:
+        # the same exception, so its class and attributes are kept
+        exc.args = (f"{exc} at step {step}",)
+        raise
 
     report_after = _full_report(config, model)
     return TrainResult(
@@ -513,7 +509,7 @@ def grad_check(config: TrainConfig, data: PairedData, h: float = 1e-5) -> dict:
 
     Targets are computed once from the unperturbed parameters and held
     fixed, matching how a training step treats them. Returns a mapping
-    from term name ('wti', 'nbi', 'opt', 'kl', 'total') to the max
+    from term name ('wti', 'nbi', 'opt', 'total') to the max
     relative error over every model parameter.
     """
     if not 1e-7 <= h <= 1e-3:
@@ -524,7 +520,7 @@ def grad_check(config: TrainConfig, data: PairedData, h: float = 1e-5) -> dict:
     idx = np.arange(min(config.batch_size, n))
     model = _build_model(config, queries, galleries)
     bank = MemoryBank(config.bank_capacity, queries.dim)
-    eq0, eg0 = model.forward(idx)
+    eq0, eg0, _ = model.forward(idx)
     push_batch(bank, EmbeddingSet(eq0, MODALITY_QUERY))
     push_batch(bank, EmbeddingSet(eg0, MODALITY_GALLERY))
 
@@ -534,14 +530,14 @@ def grad_check(config: TrainConfig, data: PairedData, h: float = 1e-5) -> dict:
     base_targets = compute_targets(all_on, bank, eq0, eg0)
 
     def loss_value(cfg) -> float:
-        eq, eg = model.forward(idx)
+        eq, eg, _ = model.forward(idx)
         value, _, _, _, _ = batch_loss(cfg, eq, eg, base_targets)
         return value
 
     def analytic_grads(cfg) -> list[np.ndarray]:
-        eq, eg = model.forward(idx)
+        eq, eg, norms = model.forward(idx)
         _, _, grad_s, ext_q, ext_g = batch_loss(cfg, eq, eg, base_targets)
-        return model.backward(idx, eq, eg, grad_s, ext_q, ext_g)
+        return model.backward(idx, eq, eg, norms, grad_s, ext_q, ext_g)
 
     if config.model == MODEL_TABLE:
         active_rows = idx

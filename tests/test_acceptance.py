@@ -64,7 +64,7 @@ def planted_dataset():
 def trained_pair(planted_dataset):
     """Full objective and weighting-only runs at the same step budget."""
     full = train(TrainConfig(**ABLATION_BUDGET), planted_dataset)
-    wti_only = train(TrainConfig(use_nbi=False, use_opt=False, use_kl=False,
+    wti_only = train(TrainConfig(use_nbi=False, use_opt=False,
                                  **ABLATION_BUDGET), planted_dataset)
     return full, wti_only
 

@@ -38,11 +38,11 @@ CASES = {
 }
 
 DEFAULT_DIGESTS = {
-    "train": "2a3549f6d00b",
-    "analyze": "922c8206b56e",
-    "retrieve": "3fa9709c5520",
-    "simulate": "7a32cb0f2d1a",
-    "probe": "3e1697f7aaad",
+    "train": "8dee22a69af6",
+    "analyze": "db1e7eefe031",
+    "retrieve": "9401d5880e02",
+    "simulate": "591d51d07399",
+    "probe": "e94e10e25d4d",
 }
 
 

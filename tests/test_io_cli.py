@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +160,7 @@ class TestCli:
         assert rc == 0
         an_dir = next(out.glob("analyze-*"))
         doc = json.loads((an_dir / "report.json").read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["config"]["k"] == 5
 
         import hublab
@@ -365,15 +366,30 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         cfg.write_text(json.dumps({"n_pairs": 16, "dim": 4, "batch_size": 8, "epochs": 1,
                                    "k_neighbors": 3, "kappa": 1e-300}))
         return ["train", "--config", str(cfg)]
+    if probe == "sinkhorn-capped":
+        # the first solve stops at its iteration cap far from the marginals
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon_sinkhorn": 0.01, "epochs": 1, "n_pairs": 128}))
+        return ["train", "--config", str(cfg)]
+    if probe in ("removed-use-kl", "removed-normalize-weights"):
+        # keys of older config files that no longer exist
+        key = probe.removeprefix("removed-").replace("-", "_")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: False}))
+        return ["train", "--config", str(cfg)]
     assert probe == "missing-file"
     return ["analyze", "--queries", str(tmp_path / "absent.emb"),
             "--galleries", str(g)]
 
 
-# the start of the error line for probes whose wording is pinned
+# a pattern matched at the start of stderr, for probes whose wording is pinned
 _PROBE_ERRORS = {
-    "analyze-k0": "error: k must be >= 1",
-    "diverge-kappa": "error: loss value is not finite at step ",
+    "analyze-k0": r"error: k must be >= 1",
+    "diverge-kappa": r"error: centrality weights exp\(C / kappa\) with kappa 1e-300 "
+                     r"are not finite at step 1$",
+    "sinkhorn-capped": r"error: marginal residual \S+ exceeds 100x tol \S+ at step 0$",
+    "removed-use-kl": r"error: unknown config key 'use_kl'",
+    "removed-normalize-weights": r"error: unknown config key 'normalize_weights'",
 }
 
 
@@ -383,14 +399,17 @@ class TestBadInput:
         "label-out-of-range", "label-negative", "missing-file", "diverge-table",
         "diverge-projection", "diverge-kappa", "config-k-neighbors", "config-n-pairs",
         "config-atkinson", "analyze-k0", "probe-threshold", "probe-not-unit",
-        "simi-cent-not-unit"])
+        "simi-cent-not-unit", "sinkhorn-capped", "removed-use-kl",
+        "removed-normalize-weights"])
+    # a NumPy RuntimeWarning would print ahead of the error line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,
                                                       capsys, rng):
         argv = _probe_argv(probe, tmp_path, rng)
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(_PROBE_ERRORS.get(probe, "error:"))
+        assert re.match(_PROBE_ERRORS.get(probe, "error:"), captured.err), captured.err
         assert captured.out == ""
         assert not out.exists() or not any(out.rglob("*"))
 

@@ -369,13 +369,13 @@ class TestTotalLoss:
     def _parts(self, rng, b=3):
         return {
             direction: {name: self._bundle(rng.normal(), rng.normal(size=(b, b)))
-                        for name in ("wti", "nbi", "opt", "kl")}
+                        for name in ("wti", "nbi", "opt")}
             for direction in ("q2g", "g2q")
         }
 
     def test_all_zero(self):
         parts = {d: {n: self._bundle(0.0, np.zeros((2, 2)))
-                     for n in ("wti", "nbi", "opt", "kl")}
+                     for n in ("wti", "nbi", "opt")}
                  for d in ("q2g", "g2q")}
         out = total_loss(parts)
         assert out.value == 0.0
@@ -383,7 +383,7 @@ class TestTotalLoss:
 
     def test_single_part_halved(self):
         parts = {d: {n: self._bundle(0.0, np.zeros((2, 2)))
-                     for n in ("wti", "nbi", "opt", "kl")}
+                     for n in ("wti", "nbi", "opt")}
                  for d in ("q2g", "g2q")}
         parts["q2g"]["nbi"] = self._bundle(3.0, np.ones((2, 2)))
         out = total_loss(parts)
@@ -394,9 +394,9 @@ class TestTotalLoss:
         parts = self._parts(rng)
         out = total_loss(parts)
         value = 0.5 * sum(parts[d][n].value
-                          for d in ("q2g", "g2q") for n in ("wti", "nbi", "opt", "kl"))
-        grad = 0.5 * (sum(parts["q2g"][n].grad for n in ("wti", "nbi", "opt", "kl"))
-                      + sum(parts["g2q"][n].grad.T for n in ("wti", "nbi", "opt", "kl")))
+                          for d in ("q2g", "g2q") for n in ("wti", "nbi", "opt"))
+        grad = 0.5 * (sum(parts["q2g"][n].grad for n in ("wti", "nbi", "opt"))
+                      + sum(parts["g2q"][n].grad.T for n in ("wti", "nbi", "opt")))
         assert out.value == pytest.approx(value, abs=1e-12)
         np.testing.assert_allclose(out.grad, grad, atol=1e-12)
 
@@ -404,4 +404,11 @@ class TestTotalLoss:
         parts = self._parts(rng)
         del parts["g2q"]["opt"]
         with pytest.raises(MissingPart):
+            total_loss(parts)
+
+    def test_unknown_part(self, rng):
+        # a part outside LOSS_PARTS is an error, not silently left out
+        parts = self._parts(rng)
+        parts["q2g"]["kl"] = self._bundle(1.0, np.ones((3, 3)))
+        with pytest.raises(MissingPart, match="'kl'"):
             total_loss(parts)

@@ -55,6 +55,8 @@ def test_traced_train_counts_and_uninstall(tmp_path, capsys):
     assert metrics["transport.sinkhorn_calls"] == metrics["trainer.steps"]
     assert metrics["transport.sinkhorn_iters"] >= metrics["trainer.steps"]
     assert metrics["transport.us_per_iter"] > 0
+    # training makes no KL call, though install still wraps the name
+    assert metrics["losses.kl_s"] == 0
 
 
 def test_traced_analyze_counts_top_k(tmp_path, capsys, rng):
