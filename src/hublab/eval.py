@@ -52,32 +52,32 @@ def retrieval_eval(s: SimilarityMatrix, labels: RelevanceLabels) -> RetrievalSco
     if labels.matrix.shape != s.scores.shape:
         raise ShapeMismatch(
             f"labels cover {labels.matrix.shape}, scores are {s.scores.shape}")
-    n, m = s.scores.shape
+    m = s.scores.shape[1]
     if not labels.matrix.any(axis=1).all():
         raise NoRelevant("every query needs at least one relevant gallery item")
 
-    order = top_k_indices(s.scores, m)
-    ranked_rel = np.take_along_axis(labels.matrix, order, axis=1)
-
-    best_rank = ranked_rel.argmax(axis=1) + 1
+    scores, rel = s.scores, labels.matrix
+    # the best relevant column: highest score, lowest index on ties
+    best = np.where(rel, scores, -np.inf).argmax(axis=1)[:, None]
+    best_score = np.take_along_axis(scores, best, axis=1)
+    # its stable-sort rank: every higher score, and equal scores at lower columns
+    best_rank = ((scores > best_score).sum(axis=1)
+                 + ((scores == best_score) & (np.arange(m) < best)).sum(axis=1) + 1)
     r_at = {k: float(100.0 * (best_rank <= k).mean()) for k in RECALL_KS}
 
-    positions = np.arange(1, m + 1)
-    map_scores = np.empty(n)
-    rp_scores = np.empty(n)
-    for i in range(n):
-        r = int(labels.matrix[i].sum())
-        rel = ranked_rel[i, :r]
-        rp_scores[i] = rel.mean()
-        precision = np.cumsum(rel) / positions[:r]
-        map_scores[i] = (precision * rel).sum() / r
+    # mAP@R and R-Precision read only each row's own top R
+    r = rel.sum(axis=1)
+    top = top_k_indices(scores, int(r.max()))
+    positions = np.arange(1, top.shape[1] + 1)
+    hits = np.take_along_axis(rel, top, axis=1) & (positions <= r[:, None])
+    precision = np.cumsum(hits, axis=1) / positions
     return RetrievalScores(
         r_at=r_at,
         median_rank=float(np.median(best_rank)),
         mean_rank=float(best_rank.mean()),
         rsum=float(sum(r_at.values())),
-        map_at_r=float(map_scores.mean()),
-        r_precision=float(rp_scores.mean()),
+        map_at_r=float(((precision * hits).sum(axis=1) / r).mean()),
+        r_precision=float((hits.sum(axis=1) / r).mean()),
     )
 
 

@@ -13,6 +13,7 @@ partitions out each row's k best columns and sorts them stably.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -69,7 +70,7 @@ class RelevanceLabels:
     def from_pairs(cls, pairs, shape, source: str = "ground-truth") -> "RelevanceLabels":
         matrix = np.zeros(shape, dtype=bool)
         for i, j in pairs:
-            i, j = int(i), int(j)
+            i, j = operator.index(i), operator.index(j)
             # a negative index would silently wrap around
             if not (0 <= i < shape[0] and 0 <= j < shape[1]):
                 raise IndexError(f"pair ({i}, {j}) outside the {shape[0]}x{shape[1]} grid")

@@ -108,6 +108,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.atkinson_epsilon < 1.0:
             raise ValueError("atkinson_epsilon must lie in (0, 1)")
 
@@ -306,12 +308,12 @@ class _Direction:
     """One retrieval direction's constants for a step: the anchors' weights,
     the bank pool of candidate-side vectors (or None), the NBI
     (NeighborSet, H) pair over all anchors (or None) and the transport
-    target."""
+    target (or None)."""
 
     weights: np.ndarray
     pool: np.ndarray | None
     nbi: tuple | None
-    opt: BlendedTarget
+    opt: BlendedTarget | None
 
 
 @dataclass
@@ -351,7 +353,6 @@ def compute_targets(config: TrainConfig, bank: MemoryBank,
     batch_g = EmbeddingSet(eg, MODALITY_GALLERY)
     scores = eq @ eg.T
 
-    eye = BlendedTarget(np.eye(b), 0.0)
     plans = {}
     sink_summary = {"residual": 0.0, "iterations_used": 0, "warning": False}
     if config.use_opt:
@@ -386,7 +387,7 @@ def compute_targets(config: TrainConfig, bank: MemoryBank,
             ns = select_neighbors(s, config.k_neighbors)
             s_tilde = decentral_similarity(s, CentralityVector(cross, KIND_CROSS))
             nbi = ns, neighbor_targets(s_tilde, ns)
-        opt = blend_targets(plans[name], config.beta) if config.use_opt else eye
+        opt = blend_targets(plans[name], config.beta) if config.use_opt else None
         directions[name] = _Direction(weights, pool, nbi, opt)
     return _BatchTargets(directions, sink_summary)
 

@@ -327,8 +327,9 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
     if probe == "short-sidecar":
         hio.sidecar_path(g).write_text('{"ids": ["a"]}')
         return analyze
-    if probe in ("label-out-of-range", "label-negative"):
-        pair = [0, 4] if probe == "label-out-of-range" else [-1, 0]
+    if probe in ("label-out-of-range", "label-negative", "label-float"):
+        pair = {"label-out-of-range": [0, 4], "label-negative": [-1, 0],
+                "label-float": [0.5, 0]}[probe]
         labels = tmp_path / "labels.json"
         labels.write_text(json.dumps({"pairs": [[i, i] for i in range(4)] + [pair]}))
         return ["retrieve", "--queries", str(q), "--galleries", str(g),
@@ -344,6 +345,8 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         return ["train", "--config", str(cfg)]
     if probe == "analyze-k0":
         return analyze + ["--k", "0"]
+    if probe == "seed-negative":
+        return ["simulate", "--seed", "-1"]
     if probe in ("probe-threshold", "probe-not-unit"):
         texts = tmp_path / "t.emb"
         scale = 1.0 if probe == "probe-threshold" else 2.0
@@ -385,6 +388,9 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
 # a pattern matched at the start of stderr, for probes whose wording is pinned
 _PROBE_ERRORS = {
     "analyze-k0": r"error: k must be >= 1",
+    "seed-negative": r"error: seed must be >= 0",
+    # a float index would be truncated to a valid-looking row
+    "label-float": r"error: \S+: bad label pairs",
     "diverge-kappa": r"error: centrality weights exp\(C / kappa\) with kappa 1e-300 "
                      r"are not finite at step 1$",
     "sinkhorn-capped": r"error: marginal residual \S+ exceeds 100x tol \S+ at step 0$",
@@ -400,7 +406,7 @@ class TestBadInput:
         "diverge-projection", "diverge-kappa", "config-k-neighbors", "config-n-pairs",
         "config-atkinson", "analyze-k0", "probe-threshold", "probe-not-unit",
         "simi-cent-not-unit", "sinkhorn-capped", "removed-use-kl",
-        "removed-normalize-weights"])
+        "removed-normalize-weights", "seed-negative", "label-float"])
     # a NumPy RuntimeWarning would print ahead of the error line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,

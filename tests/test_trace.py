@@ -12,6 +12,8 @@ import hublab.io
 import hublab.trainer
 from hublab.cli import main
 
+from conftest import random_unit_rows
+
 SPANS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
 WRAPPED_MODULES = (hublab.cli, hublab.eval, hublab.hubness, hublab.io, hublab.trainer)
 
@@ -68,3 +70,18 @@ def test_traced_analyze_counts_top_k(tmp_path, capsys, rng):
     # the span reads top_k_indices' positional (scores, k) to get the ratio
     assert metrics["hubness.topk_calls"] == 1
     assert metrics["hubness.topk_keep_ratio"] == 5 / 20
+
+
+def test_traced_retrieve_counts_top_r(tmp_path, capsys, rng):
+    q, g = tmp_path / "q.emb", tmp_path / "g.emb"
+    hublab.io.write_embeddings(q, random_unit_rows(rng, 12, 4), "query")
+    hublab.io.write_embeddings(g, random_unit_rows(rng, 12, 4), "gallery")
+    metrics = _traced_run(["retrieve", "--queries", str(q), "--galleries", str(g),
+                           "--mode", "simi-cent", "--out", str(tmp_path)])
+    # diagonal labels give R = 1: retrieval_eval keeps one column of twelve,
+    # and ranked.csv's top 10 goes through cli's own, unwrapped name
+    assert metrics["hubness.topk_calls"] == 1
+    assert metrics["hubness.topk_keep_ratio"] == 1 / 12
+    assert metrics["bank.centrality_calls"] == 1
+    assert metrics["eval.retrieval_s"] > 0
+    assert metrics["eval.simi_cent_s"] > 0
