@@ -1,10 +1,11 @@
 """Command surface: analyze, train, retrieve, probe, simulate.
 
-Each command resolves its configuration, writes every artifact into a
-directory named after the command and the configuration digest, and
-stamps the resolved configuration plus a format version into each JSON
-output. Repeating a command with the same resolved configuration
-reproduces the artifacts byte for byte.
+``main`` resolves the configuration once: defaults, then the ``--config``
+file, then the flags, whose names are config keys. Each command takes that
+mapping, writes every artifact into a directory named after the command
+and the configuration digest, and stamps the resolved configuration plus a
+format version into each JSON output. Repeating a command with the same
+resolved configuration reproduces the artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from . import io as hio
 from .bank import MemoryBank, push_batch
 from .config import (
+    DEFAULTS,
     FORMAT_VERSION,
     config_digest,
     load_config_file,
@@ -48,11 +50,19 @@ def _artifact_dir(out_root, command: str, resolved: dict) -> Path:
     return directory
 
 
-def _resolved(args, **overrides) -> dict:
+def _resolved(args) -> dict:
+    """Defaults, the --config file, then each flag given (a left-out flag is None)."""
     file_config = load_config_file(args.config) if args.config else None
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return resolve_config(file_config, overrides)
+    flags = {key: value for key, value in vars(args).items()
+             if key in DEFAULTS and value is not None}
+    return resolve_config(file_config, flags)
+
+
+def _synthetic(resolved: dict) -> PairedData:
+    """The planted-hub pairs that the synthetic-data keys and the seed describe."""
+    return synth_generate(resolved["n_pairs"], resolved["dim"],
+                          resolved["hub_fraction"], resolved["contraction"],
+                          resolved["noise"], resolved["seed"])
 
 
 def _load_labels(path, shape) -> RelevanceLabels:
@@ -70,11 +80,7 @@ def _load_labels(path, shape) -> RelevanceLabels:
         raise ConfigError(f"{path}: bad label pairs: {exc}") from exc
 
 
-def cmd_analyze(args) -> Path:
-    overrides = {"queries": args.queries, "galleries": args.galleries}
-    if args.k is not None:
-        overrides["k"] = args.k
-    resolved = _resolved(args, **overrides)
+def cmd_analyze(resolved: dict, out_root) -> Path:
     if not resolved["queries"] or not resolved["galleries"]:
         raise ConfigError("analyze needs --queries and --galleries")
     queries = hio.read_embedding_set(resolved["queries"])
@@ -82,7 +88,7 @@ def cmd_analyze(args) -> Path:
     s = cosine_similarity_matrix(queries, galleries)
     report = hubness_report(s, resolved["k"], resolved["hub_size_factor"],
                             resolved["atkinson_epsilon"])
-    out = _artifact_dir(args.out, "analyze", resolved)
+    out = _artifact_dir(out_root, "analyze", resolved)
     _write_json(out / "report.json", "analyze", resolved,
                 {"report": report.to_dict()})
     with open(out / "histogram.csv", "w", newline="") as fh:
@@ -92,21 +98,19 @@ def cmd_analyze(args) -> Path:
     return out
 
 
-def cmd_train(args) -> Path:
-    resolved = _resolved(args, queries=args.queries, galleries=args.galleries)
-    config = train_config_from(resolved)
-    if resolved["queries"] and resolved["galleries"]:
+def cmd_train(resolved: dict, out_root) -> Path:
+    if bool(resolved["queries"]) != bool(resolved["galleries"]):
+        raise ConfigError("train needs both --queries and --galleries, or neither")
+    if resolved["queries"]:
         data_q = hio.read_embedding_set(resolved["queries"])
         data_g = hio.read_embedding_set(resolved["galleries"])
         if data_q.n != data_g.n:
             raise ConfigError("query and gallery files must pair row for row")
         data = PairedData(data_q, data_g, RelevanceLabels.diagonal(data_q.n))
     else:
-        data = synth_generate(resolved["n_pairs"], resolved["dim"],
-                              resolved["hub_fraction"], resolved["contraction"],
-                              resolved["noise"], resolved["seed"])
-    result = train(config, data)
-    out = _artifact_dir(args.out, "train", resolved)
+        data = _synthetic(resolved)
+    result = train(train_config_from(resolved), data)
+    out = _artifact_dir(out_root, "train", resolved)
     _write_json(out / "resolved_config.json", "train", resolved, {})
     _write_json(out / "report_before.json", "train", resolved,
                 {"report": result.report_before.to_dict()})
@@ -122,12 +126,7 @@ def cmd_train(args) -> Path:
     return out
 
 
-def cmd_retrieve(args) -> Path:
-    overrides = {"queries": args.queries, "galleries": args.galleries,
-                 "labels": args.labels, "bank": args.bank}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    resolved = _resolved(args, **overrides)
+def cmd_retrieve(resolved: dict, out_root) -> Path:
     if not resolved["queries"] or not resolved["galleries"]:
         raise ConfigError("retrieve needs --queries and --galleries")
     queries = hio.read_embedding_set(resolved["queries"])
@@ -149,7 +148,7 @@ def cmd_retrieve(args) -> Path:
             raise ConfigError("without --labels, query and gallery counts must match")
         labels = RelevanceLabels.diagonal(s.n)
     scores = retrieval_eval(s, labels)
-    out = _artifact_dir(args.out, "retrieve", resolved)
+    out = _artifact_dir(out_root, "retrieve", resolved)
     _write_json(out / "retrieval.json", "retrieve", resolved,
                 {"mode": resolved["mode"], "scores": scores.to_dict()})
     gallery_ids = galleries.ids or [f"g{j:05d}" for j in range(s.m)]
@@ -165,16 +164,12 @@ def cmd_retrieve(args) -> Path:
     return out
 
 
-def cmd_probe(args) -> Path:
-    overrides = {"texts": args.texts}
-    if args.threshold is not None:
-        overrides["probe_threshold"] = args.threshold
-    resolved = _resolved(args, **overrides)
+def cmd_probe(resolved: dict, out_root) -> Path:
     if not resolved["texts"]:
         raise ConfigError("probe needs --texts")
     texts = hio.read_embedding_set(resolved["texts"])
     labels = pseudo_positive_probe(texts, resolved["probe_threshold"])
-    out = _artifact_dir(args.out, "probe", resolved)
+    out = _artifact_dir(out_root, "probe", resolved)
     _write_json(out / "labels.json", "probe", resolved,
                 {"source": labels.source,
                  "n": int(labels.matrix.shape[0]),
@@ -183,12 +178,9 @@ def cmd_probe(args) -> Path:
     return out
 
 
-def cmd_simulate(args) -> Path:
-    resolved = _resolved(args)
-    data = synth_generate(resolved["n_pairs"], resolved["dim"],
-                          resolved["hub_fraction"], resolved["contraction"],
-                          resolved["noise"], resolved["seed"])
-    out = _artifact_dir(args.out, "simulate", resolved)
+def cmd_simulate(resolved: dict, out_root) -> Path:
+    data = _synthetic(resolved)
+    out = _artifact_dir(out_root, "simulate", resolved)
     hio.write_embedding_set(out / "queries.emb", data.queries)
     hio.write_embedding_set(out / "galleries.emb", data.galleries)
     _write_json(out / "simulate.json", "simulate", resolved,
@@ -228,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--galleries", metavar="PATH")
     p.add_argument("--labels", metavar="PATH", help="relevance pairs JSON")
     p.add_argument("--bank", metavar="PATH", help="bank source for simi-cent")
-    p.add_argument("--mode", choices=["simi", "simi-cent"])
+    p.add_argument("--mode", help="simi or simi-cent")
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("probe", help="pseudo-positive labels from text similarity")
     common(p)
     p.add_argument("--texts", metavar="PATH")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", dest="probe_threshold", type=float)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("simulate", help="write a synthetic planted-hub dataset")
@@ -244,10 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        out = args.func(args)
+        out = args.func(_resolved(args), args.out)
     except HubLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -108,8 +108,6 @@ def resolve_config(file_config: dict | None = None,
         for key, value in source.items():
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
-            if value is None and DEFAULTS[key] is not None:
-                continue
             resolved[key] = _check_type(key, value)
     for key, (within, rule) in _RANGES.items():
         if not within(resolved[key]):

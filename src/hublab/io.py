@@ -98,6 +98,11 @@ def read_embeddings(path) -> tuple[np.ndarray, str, dict]:
             raise FormatError(f"{side}: unreadable sidecar: {exc}") from exc
         if not isinstance(meta, dict):
             raise FormatError(f"{side}: sidecar must be a JSON object")
+        labels = meta.get("labels")
+        # type() and not isinstance(), which would let true and false through
+        if labels is not None and (not isinstance(labels, list) or any(
+                v is not None and type(v) is not int for v in labels)):
+            raise FormatError(f"{side}: labels must be a list of integers or nulls")
     return data.copy(), _CODE_MODALITY[modality_code], meta
 
 

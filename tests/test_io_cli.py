@@ -8,7 +8,7 @@ import pytest
 
 from hublab import EmbeddingSet, MemoryBank, push_batch
 from hublab import io as hio
-from hublab.cli import main
+from hublab.cli import build_parser, main
 from hublab.config import DEFAULTS, config_digest, resolve_config
 from hublab.errors import ConfigError, FormatError
 
@@ -108,6 +108,9 @@ class TestConfig:
             resolve_config({"use_opt": 1})
         with pytest.raises(ConfigError):
             resolve_config({"queries": 5})
+        with pytest.raises(ConfigError, match="noise must be a number"):
+            resolve_config({"noise": None})
+        assert resolve_config({"queries": None})["queries"] is None
         for bad in (float("nan"), float("inf"), -float("inf"), 10 ** 400):
             with pytest.raises(ConfigError):
                 resolve_config({"learning_rate": bad})
@@ -290,6 +293,49 @@ class TestCli:
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
         assert tree_digest(run_dir) == first
 
+    @pytest.mark.parametrize("command", ["analyze", "retrieve", "probe", "train"])
+    def test_config_paths_equal_flags(self, command, tmp_path, capsys):
+        run_dir = _simulate(tmp_path)
+        q, g = str(run_dir / "queries.emb"), str(run_dir / "galleries.emb")
+        pairs = [[i, i] for i in range(120)] + [[0, 1]]
+        (tmp_path / "labels.json").write_text(json.dumps({"pairs": pairs}))
+        keys = {"queries": q, "galleries": g}
+        base, flags = {}, ["--queries", q, "--galleries", g]
+        if command == "analyze":
+            flags += ["--k", "5"]
+            keys["k"] = 5
+        elif command == "retrieve":
+            flags += ["--labels", str(tmp_path / "labels.json"), "--bank", g,
+                      "--mode", "simi-cent"]
+            keys.update(labels=str(tmp_path / "labels.json"), bank=g,
+                        mode="simi-cent")
+        elif command == "probe":
+            flags = ["--texts", q, "--threshold", "0.9"]
+            keys = {"texts": q, "probe_threshold": 0.9}
+        else:
+            base = {"epochs": 1, "batch_size": 40, "k_neighbors": 3,
+                    "bank_capacity": 64, "k": 5}
+        by_flags, by_file = tmp_path / "flags.json", tmp_path / "file.json"
+        by_flags.write_text(json.dumps(base))
+        by_file.write_text(json.dumps({**base, **keys}))
+        trees = []
+        for cfg, argv in ((by_flags, flags), (by_file, [])):
+            out = tmp_path / cfg.stem
+            assert main([command, "--config", str(cfg), *argv, "--out", str(out)]) == 0
+            (run,) = out.glob(f"{command}-*")
+            trees.append((run.name, tree_digest(run)))
+        assert trees[0] == trees[1]
+
+    def test_every_flag_is_a_config_key(self):
+        """The resolver keeps only flags whose dest is a config key, so a
+        misspelled dest would be dropped without a word."""
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+        for name, command in sub.choices.items():
+            for action in command._actions:
+                if action.dest not in ("help", "config", "out"):
+                    assert action.dest in DEFAULTS, (name, action.dest)
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nonsense": 1}))
@@ -380,6 +426,23 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: False}))
         return ["train", "--config", str(cfg)]
+    if probe == "train-one-path":
+        return ["train", "--queries", str(q)]
+    if probe == "sidecar-label-string":
+        # train would only meet the labels when it writes them back, after training
+        for path, modality in ((q, "query"), (g, "gallery")):
+            hio.write_embeddings(path, random_unit_rows(rng, 16, 4), modality)
+        hio.sidecar_path(q).write_text(json.dumps({"labels": ["cat"] * 16}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "batch_size": 8, "k_neighbors": 3,
+                                   "use_opt": False}))
+        return ["train", "--config", str(cfg), "--queries", str(q), "--galleries", str(g)]
+    if probe == "config-null":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_pairs": 8, "dim": 4, "noise": None}))
+        return ["simulate", "--config", str(cfg)]
+    if probe == "mode-unknown":
+        return ["retrieve", "--queries", str(q), "--galleries", str(g), "--mode", "bogus"]
     assert probe == "missing-file"
     return ["analyze", "--queries", str(tmp_path / "absent.emb"),
             "--galleries", str(g)]
@@ -396,6 +459,11 @@ _PROBE_ERRORS = {
     "sinkhorn-capped": r"error: marginal residual \S+ exceeds 100x tol \S+ at step 0$",
     "removed-use-kl": r"error: unknown config key 'use_kl'",
     "removed-normalize-weights": r"error: unknown config key 'normalize_weights'",
+    "train-one-path": r"error: train needs both --queries and --galleries, or neither$",
+    "sidecar-label-string": r"error: \S+q\.meta\.json: labels must be a list of "
+                            r"integers or nulls$",
+    "config-null": r"error: noise must be a number$",
+    "mode-unknown": r"error: mode must be 'simi' or 'simi-cent', got 'bogus'$",
 }
 
 
@@ -406,7 +474,8 @@ class TestBadInput:
         "diverge-projection", "diverge-kappa", "config-k-neighbors", "config-n-pairs",
         "config-atkinson", "analyze-k0", "probe-threshold", "probe-not-unit",
         "simi-cent-not-unit", "sinkhorn-capped", "removed-use-kl",
-        "removed-normalize-weights", "seed-negative", "label-float"])
+        "removed-normalize-weights", "seed-negative", "label-float", "train-one-path",
+        "sidecar-label-string", "config-null", "mode-unknown"])
     # a NumPy RuntimeWarning would print ahead of the error line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,
