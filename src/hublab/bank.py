@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MODALITIES, EmbeddingSet, opposite, require_unit_rows
+from .core import MODALITIES, EmbeddingSet, opposite, require_unit_rows, row_blocks
 from .errors import (
     BatchTooLarge,
     DimensionMismatch,
@@ -84,7 +84,9 @@ def _centrality(stored: np.ndarray, samples: EmbeddingSet, kind: str) -> Central
         raise DimensionMismatch(f"sample dim {samples.dim} != bank dim {stored.shape[1]}")
     norms = np.sqrt((samples.data ** 2).sum(axis=1))
     unit = samples.data / norms[:, None]
-    values = (unit @ stored.T).mean(axis=1)
+    # one block of samples at a time: the full gram would be n x fill
+    values = np.concatenate([(unit[rows] @ stored.T).mean(axis=1)
+                             for rows in row_blocks(samples.n)])
     return CentralityVector(np.clip(values, -1.0, 1.0), kind)
 
 

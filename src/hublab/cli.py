@@ -28,7 +28,10 @@ from .config import (
     resolve_config,
     train_config_from,
 )
-from .core import MODALITY_GALLERY, EmbeddingSet, cosine_similarity_matrix
+# cosine_similarity_matrix is not called here, but benchmarks/spans.py wraps
+# this module's name for it
+from .core import (MODALITY_GALLERY, EmbeddingSet, cosine_blocks,
+                   cosine_similarity_matrix)
 from .errors import ConfigError, HubLabError
 from .eval import retrieval_eval, infer_simi_cent
 from .hubness import (RelevanceLabels, hubness_report, pseudo_positive_probe,
@@ -46,7 +49,11 @@ def _write_json(path: Path, command: str, resolved: dict, payload: dict) -> None
 def _artifact_dir(out_root, command: str, resolved: dict) -> Path:
     digest = config_digest(command, resolved)
     directory = Path(out_root) / f"{command}-{digest}"
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {directory}: "
+                          f"{exc.strerror}") from exc
     return directory
 
 
@@ -85,7 +92,7 @@ def cmd_analyze(resolved: dict, out_root) -> Path:
         raise ConfigError("analyze needs --queries and --galleries")
     queries = hio.read_embedding_set(resolved["queries"])
     galleries = hio.read_embedding_set(resolved["galleries"])
-    s = cosine_similarity_matrix(queries, galleries)
+    s = cosine_blocks(queries, galleries)
     report = hubness_report(s, resolved["k"], resolved["hub_size_factor"],
                             resolved["atkinson_epsilon"])
     out = _artifact_dir(out_root, "analyze", resolved)
@@ -131,7 +138,7 @@ def cmd_retrieve(resolved: dict, out_root) -> Path:
         raise ConfigError("retrieve needs --queries and --galleries")
     queries = hio.read_embedding_set(resolved["queries"])
     galleries = hio.read_embedding_set(resolved["galleries"])
-    s = cosine_similarity_matrix(queries, galleries)
+    s = cosine_blocks(queries, galleries)
     if resolved["mode"] == "simi-cent":
         bank_path = resolved["bank"] or resolved["galleries"]
         bank_data, bank_modality, _ = hio.read_embeddings(bank_path)
@@ -142,25 +149,32 @@ def cmd_retrieve(resolved: dict, out_root) -> Path:
             push_batch(bank, EmbeddingSet(bank_data, MODALITY_GALLERY))
         s = infer_simi_cent(s, galleries, bank)
     if resolved["labels"]:
-        labels = _load_labels(resolved["labels"], s.scores.shape)
+        labels = _load_labels(resolved["labels"], (s.n, s.m))
     else:
         if s.n != s.m:
             raise ConfigError("without --labels, query and gallery counts must match")
         labels = RelevanceLabels.diagonal(s.n)
-    scores = retrieval_eval(s, labels)
+    # ranked.csv's top 10 of each block, read while the block is in memory
+    tops, top_scores = [], []
+
+    def keep_top(block):
+        top = top_k_indices(block.scores, min(10, s.m))
+        tops.append(top)
+        top_scores.append(np.take_along_axis(block.scores, top, axis=1))
+
+    scores = retrieval_eval(s, labels, keep_top)
     out = _artifact_dir(out_root, "retrieve", resolved)
     _write_json(out / "retrieval.json", "retrieve", resolved,
                 {"mode": resolved["mode"], "scores": scores.to_dict()})
     gallery_ids = galleries.ids or [f"g{j:05d}" for j in range(s.m)]
     query_ids = queries.ids or [f"q{i:05d}" for i in range(s.n)]
-    top = top_k_indices(s.scores, min(10, s.m))
     with open(out / "ranked.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "rank", "gallery_id", "score"])
-        for i in range(s.n):
-            for r, j in enumerate(top[i], start=1):
-                writer.writerow([query_ids[i], r, gallery_ids[j],
-                                 repr(float(s.scores[i, j]))])
+        rows = zip(np.concatenate(tops).tolist(), np.concatenate(top_scores).tolist())
+        for i, (columns, values) in enumerate(rows):
+            writer.writerows([query_ids[i], rank, gallery_ids[j], repr(value)]
+                             for rank, (j, value) in enumerate(zip(columns, values), start=1))
     return out
 
 

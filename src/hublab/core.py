@@ -25,6 +25,21 @@ def opposite(modality: str) -> str:
 
 _NORM_FLOOR = 1e-12
 
+# Rows per block when scores are made a block of query rows at a time. No
+# block is shorter than this unless the whole input is: OpenBLAS computes a
+# one-row product with gemv, and very short blocks with other kernels, whose
+# last bits can differ from the same rows of the full product.
+BLOCK_ROWS = 256
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Split n rows into max(1, n // BLOCK_ROWS) consecutive blocks of near
+    equal length, each of BLOCK_ROWS to 2 * BLOCK_ROWS - 1 rows; fewer than
+    2 * BLOCK_ROWS rows make one block."""
+    count = max(1, n // BLOCK_ROWS)
+    edges = [i * n // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
 
 @dataclass
 class EmbeddingSet:
@@ -91,6 +106,49 @@ class SimilarityMatrix:
     def m(self) -> int:
         return self.scores.shape[1]
 
+    def blocks(self):
+        """The grid as a single (rows, block) pair, like ``CosineBlocks.blocks``."""
+        return [(slice(0, self.n), self)]
+
+    def minus_columns(self, values: np.ndarray) -> "SimilarityMatrix":
+        """Scores with values[j] subtracted from every entry of column j."""
+        return SimilarityMatrix(self.scores - values[None, :], self.temperature)
+
+
+@dataclass
+class CosineBlocks:
+    """Cosine scores of unit query rows against unit gallery rows, made one
+    ``row_blocks`` block at a time, so the n x m grid is never held whole.
+
+    ``blocks`` yields ``(rows, SimilarityMatrix)`` pairs; each block's scores
+    are ``queries[rows] @ galleries.T`` minus every column offset in turn.
+    """
+
+    queries: np.ndarray
+    galleries: np.ndarray
+    column_offsets: tuple = ()
+
+    @property
+    def n(self) -> int:
+        return self.queries.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.galleries.shape[0]
+
+    def blocks(self):
+        galleries = self.galleries.T
+        for rows in row_blocks(self.n):
+            scores = self.queries[rows] @ galleries
+            for values in self.column_offsets:
+                scores -= values
+            yield rows, SimilarityMatrix(scores)
+
+    def minus_columns(self, values: np.ndarray) -> "CosineBlocks":
+        """Blocks with values[j] subtracted from every entry of column j."""
+        return CosineBlocks(self.queries, self.galleries,
+                            self.column_offsets + (values,))
+
 
 def row_norms(data: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", data, data))
@@ -111,22 +169,22 @@ def l2_normalize(e: EmbeddingSet) -> EmbeddingSet:
     return EmbeddingSet(e.data / norms[:, None], e.modality, e.ids, e.labels)
 
 
-def cosine_similarity_matrix(q: EmbeddingSet, g: EmbeddingSet,
-                             temperature: float = 1.0) -> SimilarityMatrix:
-    """Pairwise cosine similarity between two embedding sets.
+def cosine_blocks(q: EmbeddingSet, g: EmbeddingSet) -> CosineBlocks:
+    """Pairwise cosine similarity between two embedding sets, scored a block
+    of query rows at a time.
 
     scores[i, j] = <q_i, g_j> / (||q_i|| ||g_j||)
     """
     if q.dim != g.dim:
         raise DimensionMismatch(f"query dim {q.dim} != gallery dim {g.dim}")
-    qn = row_norms(q.data)
-    gn = row_norms(g.data)
-    for name, norms in (("query", qn), ("gallery", gn)):
-        bad = np.flatnonzero(norms < _NORM_FLOOR)
-        if bad.size:
-            raise ZeroVector(int(bad[0]))
-    scores = (q.data / qn[:, None]) @ (g.data / gn[:, None]).T
-    return SimilarityMatrix(scores, temperature)
+    return CosineBlocks(l2_normalize(q).data, l2_normalize(g).data)
+
+
+def cosine_similarity_matrix(q: EmbeddingSet, g: EmbeddingSet,
+                             temperature: float = 1.0) -> SimilarityMatrix:
+    """The whole grid of ``cosine_blocks(q, g)`` as one matrix."""
+    unit = cosine_blocks(q, g)
+    return SimilarityMatrix(unit.queries @ unit.galleries.T, temperature)
 
 
 def row_softmax(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:

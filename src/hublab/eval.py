@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import MemoryBank, intra_centrality
-from .core import EmbeddingSet, SimilarityMatrix
+from .core import CosineBlocks, EmbeddingSet, SimilarityMatrix
 from .errors import EmptyBank, NoRelevant, ShapeMismatch
 from .hubness import RelevanceLabels, top_k_indices
 
@@ -41,57 +41,76 @@ class RetrievalScores:
         }
 
 
-def retrieval_eval(s: SimilarityMatrix, labels: RelevanceLabels) -> RetrievalScores:
-    """Score a similarity matrix against a relevance mask.
+def retrieval_eval(s: SimilarityMatrix | CosineBlocks, labels: RelevanceLabels,
+                   each_block=None) -> RetrievalScores:
+    """Score a similarity matrix, or its ``CosineBlocks``, against a relevance mask.
 
     R@K counts a query as a hit when any relevant item ranks inside the
     top K; the query's rank is that of its best-ranked relevant item.
     mAP@R and R-Precision are computed per query over its own number of
-    relevant items R, then averaged.
+    relevant items R, then averaged. Each query row is scored inside its
+    block; ``each_block(block)``, when given, is called with every block in
+    row order after it has been scored, so the caller can read it while it
+    is in memory.
     """
-    if labels.matrix.shape != s.scores.shape:
-        raise ShapeMismatch(
-            f"labels cover {labels.matrix.shape}, scores are {s.scores.shape}")
-    m = s.scores.shape[1]
-    if not labels.matrix.any(axis=1).all():
+    if labels.matrix.shape != (s.n, s.m):
+        raise ShapeMismatch(f"labels cover {labels.matrix.shape}, scores are {(s.n, s.m)}")
+    rel = labels.matrix
+    if not rel.any(axis=1).all():
         raise NoRelevant("every query needs at least one relevant gallery item")
 
-    scores, rel = s.scores, labels.matrix
-    # the best relevant column: highest score, lowest index on ties
-    best = np.where(rel, scores, -np.inf).argmax(axis=1)[:, None]
-    best_score = np.take_along_axis(scores, best, axis=1)
-    # its stable-sort rank: every higher score, and equal scores at lower columns
-    best_rank = ((scores > best_score).sum(axis=1)
-                 + ((scores == best_score) & (np.arange(m) < best)).sum(axis=1) + 1)
-    r_at = {k: float(100.0 * (best_rank <= k).mean()) for k in RECALL_KS}
-
-    # mAP@R and R-Precision read only each row's own top R
     r = rel.sum(axis=1)
-    top = top_k_indices(scores, int(r.max()))
-    positions = np.arange(1, top.shape[1] + 1)
-    hits = np.take_along_axis(rel, top, axis=1) & (positions <= r[:, None])
-    precision = np.cumsum(hits, axis=1) / positions
+    depth = int(r.max())
+    parts = []
+    for rows, block in s.blocks():
+        parts.append(_score_rows(block.scores, rel[rows], r[rows], depth))
+        if each_block is not None:
+            each_block(block)
+    best_rank, average_precision, r_precision = map(np.concatenate, zip(*parts))
+    r_at = {k: float(100.0 * (best_rank <= k).mean()) for k in RECALL_KS}
     return RetrievalScores(
         r_at=r_at,
         median_rank=float(np.median(best_rank)),
         mean_rank=float(best_rank.mean()),
         rsum=float(sum(r_at.values())),
-        map_at_r=float(((precision * hits).sum(axis=1) / r).mean()),
-        r_precision=float((hits.sum(axis=1) / r).mean()),
+        map_at_r=float(average_precision.mean()),
+        r_precision=float(r_precision.mean()),
     )
 
 
-def infer_simi_cent(s: SimilarityMatrix, gallery: EmbeddingSet,
-                    bank: MemoryBank) -> SimilarityMatrix:
+def _score_rows(scores: np.ndarray, rel: np.ndarray, r: np.ndarray, depth: int):
+    """Per-row best relevant rank, average precision at R and R-Precision.
+
+    ``depth`` is the largest R over all rows, so that every block reads the
+    same top-``depth`` columns and sums rows of the same length.
+    """
+    # the best relevant column: highest score, lowest index on ties
+    best = np.where(rel, scores, -np.inf).argmax(axis=1)[:, None]
+    best_score = np.take_along_axis(scores, best, axis=1)
+    # its stable-sort rank: every higher score, and equal scores at lower columns
+    best_rank = ((scores > best_score).sum(axis=1)
+                 + ((scores == best_score) & (np.arange(scores.shape[1]) < best)).sum(axis=1)
+                 + 1)
+    # mAP@R and R-Precision read only each row's own top R
+    top = top_k_indices(scores, depth)
+    positions = np.arange(1, depth + 1)
+    hits = np.take_along_axis(rel, top, axis=1) & (positions <= r[:, None])
+    precision = np.cumsum(hits, axis=1) / positions
+    return best_rank, (precision * hits).sum(axis=1) / r, hits.sum(axis=1) / r
+
+
+def infer_simi_cent(s: SimilarityMatrix | CosineBlocks, gallery: EmbeddingSet,
+                    bank: MemoryBank) -> SimilarityMatrix | CosineBlocks:
     """Subtract each gallery item's bank centrality from its column.
 
     The bank is expected to hold reference embeddings on the gallery side
     (e.g. a validation split); the adjusted scores are meant for ranking
-    only. Raises EmptyBank when that queue holds nothing.
+    only. The centrality vector is computed here, once; ``CosineBlocks``
+    subtract it from each block as it is scored. Raises EmptyBank when
+    that queue holds nothing.
     """
     if gallery.n != s.m:
         raise ShapeMismatch(f"gallery has {gallery.n} rows, scores have {s.m} columns")
     if bank.fill(gallery.modality) == 0:
         raise EmptyBank(f"no stored {gallery.modality}-side vectors to rank against")
-    centrality = intra_centrality(bank, gallery)
-    return SimilarityMatrix(s.scores - centrality.values[None, :], s.temperature)
+    return s.minus_columns(intra_centrality(bank, gallery).values)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingSet, SimilarityMatrix, require_unit_rows
+from .core import CosineBlocks, EmbeddingSet, SimilarityMatrix, require_unit_rows
 from .errors import (
     AllZero,
     DegenerateDistribution,
@@ -120,31 +120,44 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Row-wise top-k column indices by descending score, ties to lower index,
     equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``.
 
-    ``np.argpartition`` finds each row's k best columns, which get a stable
-    sort in column order. A row whose k-th score also appears outside them,
-    and every row when k is outside (0, m), is sorted in full.
+    ``np.argpartition`` finds each row's k best columns (``argmax`` its best
+    one when k = 1), which get a stable sort in column order. A row whose
+    k-th score also appears outside them, and every row when k is outside
+    (0, m), is sorted in full.
     """
-    neg = -scores
-    if not 0 < k < scores.shape[1]:
-        return np.argsort(neg, axis=1, kind="stable")[:, :k]
-    kept = np.sort(np.argpartition(neg, k - 1, axis=1)[:, :k], axis=1)
-    kept_neg = np.take_along_axis(neg, kept, axis=1)
-    top = np.take_along_axis(kept, np.argsort(kept_neg, axis=1, kind="stable"), axis=1)
-    # a NaN k-th score counts no column, so its row is sorted in full too
-    kth = kept_neg.max(axis=1)
-    tied = np.flatnonzero((neg <= kth[:, None]).sum(axis=1) != k)
-    top[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+    m = scores.shape[1]
+    if not 0 < k < m:
+        return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    if k == 1:
+        # argmax keeps the first maximum; a row where it picked NaN, which
+        # the stable sort puts last, is sorted in full
+        top = scores.argmax(axis=1)[:, None]
+        nan = np.flatnonzero(np.isnan(np.take_along_axis(scores, top, axis=1)))
+        top[nan] = np.argsort(-scores[nan], axis=1, kind="stable")[:, :1]
+        return top
+    kept = np.sort(np.argpartition(scores, m - k, axis=1)[:, m - k:], axis=1)
+    kept_scores = np.take_along_axis(scores, kept, axis=1)
+    top = np.take_along_axis(kept, np.argsort(-kept_scores, axis=1, kind="stable"),
+                             axis=1)
+    # the partition ranks NaN above every number, so a row holding one keeps
+    # it; its k-th score is then NaN, counts no column, and the row is sorted
+    # in full
+    kth = kept_scores.min(axis=1)
+    tied = np.flatnonzero((scores >= kth[:, None]).sum(axis=1) != k)
+    top[tied] = np.argsort(-scores[tied], axis=1, kind="stable")[:, :k]
     return top
 
 
-def k_occurrence(s: SimilarityMatrix, k: int) -> KOccurrence:
-    """Count how often each gallery column lands in a query row's top k."""
+def k_occurrence(s: SimilarityMatrix | CosineBlocks, k: int) -> KOccurrence:
+    """Count how often each gallery column lands in a query row's top k,
+    one block of query rows at a time."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > s.m:
         raise KTooLarge(f"k={k} exceeds gallery size {s.m}")
-    top = top_k_indices(s.scores, k)
-    counts = np.bincount(top.ravel(), minlength=s.m)
+    counts = np.zeros(s.m, dtype=np.int64)
+    for _, block in s.blocks():
+        counts += np.bincount(top_k_indices(block.scores, k).ravel(), minlength=s.m)
     return KOccurrence(counts, k, s.n)
 
 
@@ -244,7 +257,7 @@ def count_histogram(occ: KOccurrence) -> list:
     return [[int(v), int(c)] for v, c in zip(values, freqs)]
 
 
-def hubness_report(s: SimilarityMatrix, k: int,
+def hubness_report(s: SimilarityMatrix | CosineBlocks, k: int,
                    hub_size_factor: float = 2.0,
                    atkinson_epsilon: float = 0.5) -> HubnessReport:
     """All six N_k statistics plus the histogram from one shared count pass."""

@@ -113,7 +113,7 @@ def decentral_similarity(s: SimilarityMatrix, cg: CentralityVector) -> Similarit
     if cg.values.shape != (s.m,):
         raise LengthMismatch(
             f"centrality has shape {cg.values.shape}, expected ({s.m},)")
-    return SimilarityMatrix(s.scores - cg.values[None, :], s.temperature)
+    return s.minus_columns(cg.values)
 
 
 def select_neighbors(s: SimilarityMatrix, k: int,

@@ -81,10 +81,14 @@ class TestKOccurrence:
         with pytest.raises(KTooLarge):
             k_occurrence(SimilarityMatrix(np.zeros((2, 3))), 4)
 
-    # small integer values, so most rows tie, including -0.0 against 0.0
-    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
-                  elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
-    @settings(max_examples=300, deadline=None)
+    # small integer values, so most rows tie, including -0.0 against 0.0;
+    # the stable sort puts NaN last, behind -inf
+    @given(st.one_of(
+        arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+               elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])),
+        arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+               elements=st.sampled_from([-np.inf, -1.0, 0.0, 1.0, np.inf, np.nan]))))
+    @settings(max_examples=600, deadline=None)
     def test_top_k_equals_stable_argsort(self, scores):
         reference = np.argsort(-scores, axis=1, kind="stable")
         for k in range(scores.shape[1] + 1):

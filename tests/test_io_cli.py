@@ -441,6 +441,10 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_pairs": 8, "dim": 4, "noise": None}))
         return ["simulate", "--config", str(cfg)]
+    if probe == "out-is-file":
+        # the artifacts root that the test passes with --out
+        (tmp_path / "out").write_text("")
+        return analyze + ["--k", "2"]
     if probe == "mode-unknown":
         return ["retrieve", "--queries", str(q), "--galleries", str(g), "--mode", "bogus"]
     assert probe == "missing-file"
@@ -464,6 +468,8 @@ _PROBE_ERRORS = {
                             r"integers or nulls$",
     "config-null": r"error: noise must be a number$",
     "mode-unknown": r"error: mode must be 'simi' or 'simi-cent', got 'bogus'$",
+    "out-is-file": r"error: cannot create output directory \S+/out/analyze-\w+: "
+                   r"Not a directory$",
 }
 
 
@@ -475,7 +481,7 @@ class TestBadInput:
         "config-atkinson", "analyze-k0", "probe-threshold", "probe-not-unit",
         "simi-cent-not-unit", "sinkhorn-capped", "removed-use-kl",
         "removed-normalize-weights", "seed-negative", "label-float", "train-one-path",
-        "sidecar-label-string", "config-null", "mode-unknown"])
+        "sidecar-label-string", "config-null", "mode-unknown", "out-is-file"])
     # a NumPy RuntimeWarning would print ahead of the error line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,
