@@ -174,7 +174,7 @@ def cmd_retrieve(resolved: dict, out_root) -> Path:
         rows = zip(np.concatenate(tops).tolist(), np.concatenate(top_scores).tolist())
         for i, (columns, values) in enumerate(rows):
             writer.writerows([query_ids[i], rank, gallery_ids[j], repr(value)]
-                             for rank, (j, value) in enumerate(zip(columns, values), start=1))
+                             for rank, (j, value) in enumerate(zip(columns, values), 1))
     return out
 
 

@@ -84,13 +84,13 @@ def _score_rows(scores: np.ndarray, rel: np.ndarray, r: np.ndarray, depth: int):
     ``depth`` is the largest R over all rows, so that every block reads the
     same top-``depth`` columns and sums rows of the same length.
     """
+    m = scores.shape[1]
     # the best relevant column: highest score, lowest index on ties
     best = np.where(rel, scores, -np.inf).argmax(axis=1)[:, None]
     best_score = np.take_along_axis(scores, best, axis=1)
     # its stable-sort rank: every higher score, and equal scores at lower columns
     best_rank = ((scores > best_score).sum(axis=1)
-                 + ((scores == best_score) & (np.arange(scores.shape[1]) < best)).sum(axis=1)
-                 + 1)
+                 + ((scores == best_score) & (np.arange(m) < best)).sum(axis=1) + 1)
     # mAP@R and R-Precision read only each row's own top R
     top = top_k_indices(scores, depth)
     positions = np.arange(1, depth + 1)
