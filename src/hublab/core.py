@@ -206,10 +206,3 @@ def scaled_exp_softmax_row(s: SimilarityMatrix, row: int) -> np.ndarray:
     if not 0 <= row < s.n:
         raise IndexError(f"row {row} out of range for {s.n} rows")
     return row_softmax(s.scores[row], s.temperature)
-
-
-def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """Stable log-sum-exp along one axis (keeps the library numpy-only)."""
-    amax = a.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(a - amax).sum(axis=axis)) + np.squeeze(amax, axis=axis)
-    return out

@@ -321,7 +321,7 @@ class _BatchTargets:
     """Constants for one optimization step (no gradients flow into these)."""
 
     directions: dict  # "q2g" / "g2q" -> _Direction
-    sinkhorn: dict
+    plan: TransportPlan | None
 
 
 def _weights_for(bank: MemoryBank, batch: EmbeddingSet, config: TrainConfig):
@@ -353,21 +353,16 @@ def compute_targets(config: TrainConfig, bank: MemoryBank,
     batch_g = EmbeddingSet(eg, MODALITY_GALLERY)
     scores = eq @ eg.T
 
-    plans = {}
-    sink_summary = {"residual": 0.0, "iterations_used": 0, "warning": False}
+    plan = None
     if config.use_opt:
-        # slow batches surface through the warning flag recorded below, so
+        # slow batches surface through the plan's warning flag, so
         # the per-batch RuntimeWarning is consumed here instead of emitted
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             plan = sinkhorn_plan(SimilarityMatrix(scores, config.temperature),
                                  config.epsilon_sinkhorn, config.sinkhorn_tol,
                                  config.sinkhorn_max_iter)
-        plans = {"q2g": plan,
-                 "g2q": TransportPlan(plan.q.T.copy(), plan.col_marginal,
-                                      plan.row_marginal, plan.epsilon,
-                                      plan.iterations_used, plan.residual)}
-        sink_summary = plan.summary()
+        plans = {"q2g": plan, "g2q": replace(plan, q=plan.q.T.copy())}
 
     directions = {}
     for name, anchors, cands, dir_scores in (("q2g", batch_q, batch_g, scores),
@@ -389,7 +384,7 @@ def compute_targets(config: TrainConfig, bank: MemoryBank,
             nbi = ns, neighbor_targets(s_tilde, ns)
         opt = blend_targets(plans[name], config.beta) if config.use_opt else None
         directions[name] = _Direction(weights, pool, nbi, opt)
-    return _BatchTargets(directions, sink_summary)
+    return _BatchTargets(directions, plan)
 
 
 def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
@@ -460,12 +455,13 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
                     model.postprocess()
                 push_batch(bank, EmbeddingSet(eq, MODALITY_QUERY))
                 push_batch(bank, EmbeddingSet(eg, MODALITY_GALLERY))
+                plan = targets.plan
                 curve.append({
                     "step": step,
                     "total": value,
                     **part_values,
-                    "sinkhorn_residual": targets.sinkhorn["residual"],
-                    "sinkhorn_iterations": targets.sinkhorn["iterations_used"],
+                    "sinkhorn_residual": plan.residual if plan else 0.0,
+                    "sinkhorn_iterations": plan.iterations_used if plan else 0,
                 })
                 step += 1
         full_q, full_g = model.full_embeddings()
@@ -489,8 +485,8 @@ def _full_report(config: TrainConfig, model) -> HubnessReport:
     full_q, full_g = model.full_embeddings()
     s = cosine_similarity_matrix(EmbeddingSet(full_q, MODALITY_QUERY),
                                  EmbeddingSet(full_g, MODALITY_GALLERY))
-    k = min(config.report_k, s.m)
-    return hubness_report(s, k, config.hub_size_factor, config.atkinson_epsilon)
+    return hubness_report(s, config.report_k, config.hub_size_factor,
+                          config.atkinson_epsilon)
 
 
 def _max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

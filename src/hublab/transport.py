@@ -4,20 +4,23 @@ uniformity regularization loss.
 The transport problem maximizes <Q, S> subject to uniform marginals
 Q 1 = (1/n) 1 and Q^T 1 = (1/m) 1. We solve the entropy-regularized
 version, whose fixed point is Q = diag(u) exp(S / eps) diag(v). The
-alternating scaling multiplies u and v against the kernel exp(S / eps)
-(Cuturi 2013) whenever that kernel, shifted by its maximum, fits in float64
-with a margin; otherwise it runs in the log domain. Gradients never flow
-through the solver; downstream losses treat the plan as a constant target.
+alternating scaling multiplies u and v against a kernel exp(S / eps + f + g)
+(Cuturi 2013), whose potentials f and g shift every row and column maximum
+to 1. For score ranges wider than ``KERNEL_RANGE`` epsilons, u and v are
+absorbed into f and g whenever they leave a safe range (Schmitzer 2019), so
+one loop covers every finite range. Gradients never flow through the
+solver; downstream losses treat the plan as a constant target.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SimilarityMatrix, logsumexp, row_log_softmax
+from .core import SimilarityMatrix, row_log_softmax
 from .errors import NonSquarePlan, NotConverged, ShapeMismatch
 from .losses import LossBundle
 
@@ -27,9 +30,6 @@ class TransportPlan:
     """Nonnegative matrix with (approximately) uniform marginals."""
 
     q: np.ndarray
-    row_marginal: float
-    col_marginal: float
-    epsilon: float
     iterations_used: int
     residual: float
     residual_history: list = field(default_factory=list)
@@ -42,15 +42,6 @@ class TransportPlan:
     @property
     def m(self) -> int:
         return self.q.shape[1]
-
-    def summary(self) -> dict:
-        """Small diagnostic block for JSON reports."""
-        return {
-            "epsilon": self.epsilon,
-            "iterations_used": self.iterations_used,
-            "residual": self.residual,
-            "warning": self.warning,
-        }
 
 
 @dataclass
@@ -65,10 +56,12 @@ class BlendedTarget:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
 
 
-# Widest range max(S/eps) - min(S/eps) solved in the kernel domain. The
-# kernel K = exp(S/eps - max) then spans at most exp(-350), and the scalings
-# u and v can each drift by about that range again, so products such as
-# K v stay above exp(-700), inside float64's exp range of about 709.
+# Widest range max(S/eps) - min(S/eps) that needs no absorption. The kernel
+# then spans at most exp(-350), and the scalings u and v can each drift by
+# about that range again, so products such as K v stay above exp(-700),
+# inside float64's exp range of about 709. Above it, u and v are absorbed
+# as soon as either leaves [1e-100, 1e100], which keeps a kernel entry
+# times both scalings inside float64 for any range.
 KERNEL_RANGE = 350.0
 
 
@@ -79,13 +72,14 @@ def sinkhorn_plan(s: SimilarityMatrix, epsilon: float,
     Iterates alternating row/column updates until the L1 error of the row
     marginals drops to ``tol`` or ``max_iter`` is hit; each column update
     leaves the column marginals exact up to rounding. If the cap is hit
-    with a residual still above 100x tol, raises NotConverged; otherwise
-    the plan is returned with ``warning`` set.
+    with a residual still above 100x tol, or the residual is not finite
+    (``S / epsilon`` overflowed), raises NotConverged; otherwise a plan
+    stopped at the cap is returned with ``warning`` set.
 
-    When ``(max S - min S) / epsilon`` is at most ``KERNEL_RANGE``, each
-    iteration is two matrix-vector products with the kernel; above it (or
-    when ``S / epsilon`` overflows) the same iterations run on log-domain
-    potentials, with two log-sum-exp passes each.
+    Each iteration is two matrix-vector products with the kernel
+    K = exp(S / epsilon + f + g). When ``(max S - min S) / epsilon`` exceeds
+    ``KERNEL_RANGE``, scalings that leave [1e-100, 1e100] are folded into the
+    potentials f and g and the kernel is rebuilt.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -94,32 +88,19 @@ def sinkhorn_plan(s: SimilarityMatrix, epsilon: float,
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n, m = s.scores.shape
-    a = s.scores / epsilon
-    # false for an overflowed (inf or NaN) range, which goes to the log domain
-    if a.max() - a.min() <= KERNEL_RANGE:
-        q, history = _kernel_scaling(a, tol, max_iter)
-    else:
-        q, history = _log_scaling(a, tol, max_iter)
-    residual = history[-1]
-    warn = residual > tol
-    if warn and residual > 100.0 * tol:
-        raise NotConverged(residual, tol)
-    if warn:
-        warnings.warn(
-            f"sinkhorn stopped at residual {residual:.3e} > tol {tol:.3e}",
-            RuntimeWarning, stacklevel=2)
-    return TransportPlan(q, 1.0 / n, 1.0 / m, epsilon, len(history),
-                         residual, history, warn)
-
-
-def _kernel_scaling(a: np.ndarray, tol: float,
-                    max_iter: int) -> tuple[np.ndarray, list]:
-    """Sinkhorn on the scalings u, v of K = exp(a - max a); returns the plan
-    diag(u) K diag(v) and the residual after each iteration."""
-    n, m = a.shape
-    k = np.exp(a - a.max())
+    # an overflowed S / epsilon turns into NaN here and ends in NotConverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = s.scores / epsilon
+        wide = a.max() - a.min() > KERNEL_RANGE
+        f = -a.max(axis=1)
+        row_shifted = a + f[:, None]
+        g = -row_shifted.max(axis=0)
+    # every row and column of k holds an entry of exactly 1
+    k = np.exp(row_shifted + g[None, :])
     k_t = np.ascontiguousarray(k.T)
-    kv = k.sum(axis=1)
+    # v = 1 against exp(S / eps) is v = exp(-g) against k. As g >= 0 and each
+    # row's entry 1 sits in a column with g = 0, kv lies in [1, m].
+    kv = k @ np.exp(-g)
     history: list[float] = []
     for _ in range(max_iter):
         u = (1.0 / n) / kv
@@ -127,29 +108,26 @@ def _kernel_scaling(a: np.ndarray, tol: float,
         # the row sums are u * kv, kv being the next row update's input
         kv = k @ v
         history.append(float(np.abs(u * kv - 1.0 / n).sum()))
-        if history[-1] <= tol:
+        if history[-1] <= tol or not math.isfinite(history[-1]):
             break
-    return u[:, None] * k * v[None, :], history
-
-
-def _log_scaling(a: np.ndarray, tol: float,
-                 max_iter: int) -> tuple[np.ndarray, list]:
-    """Sinkhorn on the potentials f = log u, g = log v, for kernels whose
-    range does not fit in float64; returns the plan and the residuals."""
-    n, m = a.shape
-    log_r = -np.log(n)
-    log_c = -np.log(m)
-    lse = logsumexp(a, axis=1)
-    history: list[float] = []
-    for _ in range(max_iter):
-        f = log_r - lse
-        g = log_c - logsumexp(a + f[:, None], axis=0)
-        # the row sums are exp(f + lse), lse being the next row update's input
-        lse = logsumexp(a + g[None, :], axis=1)
-        history.append(float(np.abs(np.exp(f + lse) - 1.0 / n).sum()))
-        if history[-1] <= tol:
-            break
-    return np.exp(a + f[:, None] + g[None, :]), history
+        if wide and not (1e-100 <= min(u.min(), v.min())
+                         and max(u.max(), v.max()) <= 1e100):
+            f += np.log(u)
+            g += np.log(v)
+            k = np.exp(a + f[:, None] + g[None, :])
+            k_t = np.ascontiguousarray(k.T)
+            u, v = np.ones(n), np.ones(m)
+            kv = k.sum(axis=1)
+    residual = history[-1]
+    if not residual <= 100.0 * tol:
+        raise NotConverged(residual, tol)
+    warn = residual > tol
+    if warn:
+        warnings.warn(
+            f"sinkhorn stopped at residual {residual:.3e} > tol {tol:.3e}",
+            RuntimeWarning, stacklevel=2)
+    return TransportPlan(u[:, None] * k * v[None, :], len(history),
+                         residual, history, warn)
 
 
 def blend_targets(plan: TransportPlan, beta: float) -> BlendedTarget:

@@ -420,6 +420,17 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epsilon_sinkhorn": 0.01, "epochs": 1, "n_pairs": 128}))
         return ["train", "--config", str(cfg)]
+    if probe == "sinkhorn-overflow":
+        # S / epsilon overflows to inf in the first solve
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon_sinkhorn": 1e-310, "epochs": 1, "n_pairs": 16,
+                                   "dim": 4, "batch_size": 8, "k_neighbors": 3}))
+        return ["train", "--config", str(cfg)]
+    if probe == "train-k-too-large":
+        # the hubness-report k, checked as analyze checks it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 100, "n_pairs": 40, "epochs": 1}))
+        return ["train", "--config", str(cfg)]
     if probe in ("removed-use-kl", "removed-normalize-weights"):
         # keys of older config files that no longer exist
         key = probe.removeprefix("removed-").replace("-", "_")
@@ -461,6 +472,8 @@ _PROBE_ERRORS = {
     "diverge-kappa": r"error: centrality weights exp\(C / kappa\) with kappa 1e-300 "
                      r"are not finite at step 1$",
     "sinkhorn-capped": r"error: marginal residual \S+ exceeds 100x tol \S+ at step 0$",
+    "sinkhorn-overflow": r"error: marginal residual nan exceeds 100x tol \S+ at step 0$",
+    "train-k-too-large": r"error: k=100 exceeds gallery size 40$",
     "removed-use-kl": r"error: unknown config key 'use_kl'",
     "removed-normalize-weights": r"error: unknown config key 'normalize_weights'",
     "train-one-path": r"error: train needs both --queries and --galleries, or neither$",
@@ -481,7 +494,8 @@ class TestBadInput:
         "config-atkinson", "analyze-k0", "probe-threshold", "probe-not-unit",
         "simi-cent-not-unit", "sinkhorn-capped", "removed-use-kl",
         "removed-normalize-weights", "seed-negative", "label-float", "train-one-path",
-        "sidecar-label-string", "config-null", "mode-unknown", "out-is-file"])
+        "sidecar-label-string", "config-null", "mode-unknown", "out-is-file",
+        "sinkhorn-overflow", "train-k-too-large"])
     # a NumPy RuntimeWarning would print ahead of the error line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,

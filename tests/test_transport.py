@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hublab import SimilarityMatrix, blend_targets, loss_opt, sinkhorn_plan
-from hublab.core import logsumexp, row_softmax
+from hublab.core import row_softmax
 from hublab.errors import NonSquarePlan, NotConverged, ShapeMismatch
 from hublab.transport import KERNEL_RANGE, BlendedTarget, TransportPlan
 
@@ -77,16 +77,29 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match="max_iter"):
             sinkhorn_plan(SimilarityMatrix(np.zeros((2, 2))), 0.05, max_iter=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_scores_raise_not_converged(self):
+        # S / epsilon overflows to inf: the first residual is NaN, and no
+        # NaN plan is returned
+        with pytest.raises(NotConverged, match="marginal residual nan"):
+            sinkhorn_plan(SimilarityMatrix([[1.0, 0.0], [0.0, 1.0]]), 1e-310)
+
+
+def _logsumexp(a, axis):
+    """Stable log-sum-exp along one axis."""
+    amax = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - amax).sum(axis=axis)) + np.squeeze(amax, axis=axis)
+
 
 def _log_domain_reference(scores, epsilon, tol, max_iter):
     """Sinkhorn on log-domain potentials: (plan, iterations, residual)."""
     a = scores / epsilon
     n, m = a.shape
-    lse = logsumexp(a, axis=1)
+    lse = _logsumexp(a, axis=1)
     for iterations in range(1, max_iter + 1):
         f = -np.log(n) - lse
-        g = -np.log(m) - logsumexp(a + f[:, None], axis=0)
-        lse = logsumexp(a + g[None, :], axis=1)
+        g = -np.log(m) - _logsumexp(a + f[:, None], axis=0)
+        lse = _logsumexp(a + g[None, :], axis=1)
         residual = np.abs(np.exp(f + lse) - 1.0 / n).sum()
         if residual <= tol:
             break
@@ -144,16 +157,39 @@ class TestKernelDomain:
         np.testing.assert_allclose(plan.q, u[:, None] * k * v[None, :],
                                    rtol=2e-13, atol=0)
 
-    def test_wide_range_falls_back_to_log_domain(self, rng):
-        # a dominant diagonal converges quickly even just above the switch
-        scores = np.eye(8) + 0.1 * rng.uniform(size=(8, 8))
-        epsilon = (scores.max() - scores.min()) / (KERNEL_RANGE + 10.0)
-        plan = sinkhorn_plan(SimilarityMatrix(scores), epsilon, 1e-9, 2000)
-        q, iterations, residual = _log_domain_reference(scores, epsilon, 1e-9, 2000)
-        assert np.all(np.isfinite(plan.q))
-        assert plan.residual <= 1e-9 and not plan.warning
-        np.testing.assert_array_equal(plan.q, q)
-        assert (plan.iterations_used, plan.residual) == (iterations, residual)
+    # Above KERNEL_RANGE the scalings are absorbed into the kernel whenever
+    # they leave [1e-100, 1e100], once or twice on these grids at 5000
+    # epsilons. The reference's row sums exp(f + lse) carry rounding of about
+    # range x 1e-16, hence the absolute residual margin.
+    @pytest.mark.parametrize("ratio", [KERNEL_RANGE + 10.0, 1000.0, 5000.0])
+    @pytest.mark.parametrize("grid", ["diagonal", "row", "column", "cosine"])
+    def test_wide_range_matches_log_domain_reference(self, grid, ratio):
+        if grid == "diagonal":
+            scores = np.eye(8) + 0.1 * np.random.default_rng(4).uniform(size=(8, 8))
+        else:
+            scores, _ = _cosine_grid(4, 4, 5, 1.0)
+            # one row (or column) far below the rest of the range
+            if grid == "row":
+                scores[0] -= 2.0
+            elif grid == "column":
+                scores[:, 0] -= 2.0
+        epsilon = (scores.max() - scores.min()) / ratio
+        for max_iter in (100, 2000):
+            q, iterations, residual = _log_domain_reference(scores, epsilon, 1e-9,
+                                                            max_iter)
+            if residual > 100 * 1e-9:
+                with pytest.raises(NotConverged) as exc:
+                    _solve(scores, epsilon, 1e-9, max_iter)
+                assert exc.value.residual == pytest.approx(residual, rel=0, abs=1e-12)
+                continue
+            plan = _solve(scores, epsilon, 1e-9, max_iter)
+            assert plan.iterations_used == iterations
+            assert plan.residual == pytest.approx(residual, rel=0, abs=1e-12)
+            assert np.all(np.isfinite(plan.q)) and plan.q.min() >= 0.0
+            # a smaller entry may come out 0: its kernel entry underflowed
+            big = q > 1e-100
+            np.testing.assert_allclose(plan.q[big], q[big], rtol=1e-11, atol=0)
+            assert plan.q[~big].max(initial=0.0) <= 1e-100
 
     @pytest.mark.parametrize("isolated", ["row", "column"])
     def test_isolated_line_just_below_the_switch(self, rng, isolated):
@@ -173,8 +209,7 @@ class TestKernelDomain:
 
 class TestBlendTargets:
     def _uniform_plan(self, b):
-        return TransportPlan(np.full((b, b), 1.0 / b ** 2), 1.0 / b, 1.0 / b,
-                             0.05, 1, 0.0)
+        return TransportPlan(np.full((b, b), 1.0 / b ** 2), 1, 0.0)
 
     def test_beta_zero_is_identity(self, rng):
         s = SimilarityMatrix(rng.uniform(-1, 1, size=(4, 4)))
@@ -201,7 +236,7 @@ class TestBlendTargets:
         assert out.q_blend.min() >= 0.0
 
     def test_non_square_rejected(self):
-        plan = TransportPlan(np.full((2, 3), 1.0 / 6), 0.5, 1.0 / 3, 0.05, 1, 0.0)
+        plan = TransportPlan(np.full((2, 3), 1.0 / 6), 1, 0.0)
         with pytest.raises(NonSquarePlan):
             blend_targets(plan, 0.5)
 
