@@ -292,6 +292,38 @@ class TestCriterion7SimiCent:
         assert abs(rsum_adj - rsum_raw) < 2.0
 
 
+@pytest.mark.slow  # reads the full run of the trained_pair fixture
+class TestSinkhornNewtonGates:
+    """The plain Sinkhorn loop capped 42 of this config's 80 solves at
+    epsilon 0.05, within 2.5x of the residual that aborts training, and
+    aborted training outright at epsilon 0.03 and 0.01."""
+
+    @staticmethod
+    def _capped(result, config):
+        return sum(row["sinkhorn_iterations"] >= config.sinkhorn_max_iter
+                   or row["sinkhorn_residual"] > config.sinkhorn_tol
+                   for row in result.loss_curve)
+
+    def test_no_solve_caps_at_default_epsilon(self, trained_pair):
+        full, _ = trained_pair
+        capped = self._capped(full, TrainConfig(**ABLATION_BUDGET))
+        worst = max(row["sinkhorn_residual"] for row in full.loss_curve)
+        report(3, capped == 0, f"sinkhorn at epsilon 0.05: {capped} of "
+                               f"{len(full.loss_curve)} solves capped (0), "
+                               f"largest residual {worst:.2e}")
+        assert len(full.loss_curve) == 80 and capped == 0
+
+    @pytest.mark.parametrize("epsilon", [0.03, 0.02, 0.01])
+    def test_sharper_epsilon_trains_three_epochs(self, planted_dataset, epsilon):
+        config = TrainConfig(**{**ABLATION_BUDGET, "epochs": 3},
+                             epsilon_sinkhorn=epsilon)
+        result = train(config, planted_dataset)
+        capped = self._capped(result, config)
+        report(3, capped == 0, f"sinkhorn at epsilon {epsilon}: 3 epochs, "
+                               f"{capped} of {len(result.loss_curve)} solves capped (0)")
+        assert len(result.loss_curve) == 24 and capped == 0
+
+
 class TestCriterion8Tokens:
     def test_wti_and_merging_sanity(self):
         rng = np.random.default_rng(5)

@@ -281,6 +281,20 @@ class TestCli:
         after = json.loads((run_dir / "report_after.json").read_text())
         assert before["report"] == after["report"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_sharp_epsilon_converges(self, tmp_path, capsys):
+        # at 2000 plain sweeps this solve stopped 100x above tol and aborted
+        # training; the Newton finish brings it below tol
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon_sinkhorn": 0.01, "epochs": 1, "n_pairs": 128}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+        run_dir = next((tmp_path / "t").glob("train-*"))
+        curve = (run_dir / "loss_curve.csv").read_text().splitlines()
+        header, row = curve[0].split(","), curve[1].split(",")
+        assert len(curve) == 2
+        assert float(row[header.index("sinkhorn_residual")]) <= 1e-6
+        assert int(row[header.index("sinkhorn_iterations")]) < 2000
+
     def test_train_rerun_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -416,9 +430,11 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
                                    "k_neighbors": 3, "kappa": 1e-300}))
         return ["train", "--config", str(cfg)]
     if probe == "sinkhorn-capped":
-        # the first solve stops at its iteration cap far from the marginals
+        # the first solve stops at its iteration cap far from the marginals:
+        # the cap falls before the Newton switch, so only plain sweeps run
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epsilon_sinkhorn": 0.01, "epochs": 1, "n_pairs": 128}))
+        cfg.write_text(json.dumps({"epsilon_sinkhorn": 0.01, "epochs": 1, "n_pairs": 128,
+                                   "sinkhorn_max_iter": 100}))
         return ["train", "--config", str(cfg)]
     if probe == "sinkhorn-overflow":
         # S / epsilon overflows to inf in the first solve

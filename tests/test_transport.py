@@ -6,7 +6,7 @@ import pytest
 from hublab import SimilarityMatrix, blend_targets, loss_opt, sinkhorn_plan
 from hublab.core import row_softmax
 from hublab.errors import NonSquarePlan, NotConverged, ShapeMismatch
-from hublab.transport import KERNEL_RANGE, BlendedTarget, TransportPlan
+from hublab.transport import KERNEL_RANGE, NEWTON_AFTER, BlendedTarget, TransportPlan
 
 from conftest import fd_grad, max_rel_error, random_unit_rows
 
@@ -62,12 +62,14 @@ class TestSinkhorn:
             sinkhorn_plan(s, 0.05, tol=1e-12, max_iter=100)
 
     def test_warning_flag_when_slow(self, rng):
-        # same slow-contracting draw: at 1000 sweeps the residual sits inside
-        # the warn band (tol, 100 tol], so the plan returns flagged
+        # same slow-contracting draw: a cap at the Newton switch stops it after
+        # plain sweeps only, with the residual inside the warn band
+        # (tol, 100 tol], so the plan returns flagged
         s = SimilarityMatrix(rng.uniform(-1, 1, size=(6, 6)))
         with pytest.warns(RuntimeWarning):
-            plan = sinkhorn_plan(s, 0.05, tol=1e-5, max_iter=1000)
+            plan = sinkhorn_plan(s, 0.05, tol=1e-5, max_iter=NEWTON_AFTER)
         assert plan.warning and 1e-5 < plan.residual <= 1e-3
+        assert plan.newton_steps == 0
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -106,6 +108,51 @@ def _log_domain_reference(scores, epsilon, tol, max_iter):
     return np.exp(a + f[:, None] + g[None, :]), iterations, residual
 
 
+def _tight_reference(scores, epsilon):
+    """The plan with both marginals within 1e-13 in L1: 2000 log-domain
+    sweeps, then full Newton steps on the log-domain potentials (f, g) with
+    the whole (n + m) block system, the last entry of g held fixed."""
+    a = scores / epsilon
+    n, m = a.shape
+    q, _, _ = _log_domain_reference(scores, epsilon, 0.0, 2000)
+    # log q = a + f + g, with g[0] = 0
+    f = np.log(q[:, 0]) - a[:, 0]
+    g = np.log(q[0]) - a[0] - f[0]
+    for _ in range(50):
+        p = np.exp(a + f[:, None] + g[None, :])
+        e_r, e_c = p.sum(axis=1) - 1.0 / n, p.sum(axis=0) - 1.0 / m
+        if np.abs(e_r).sum() + np.abs(e_c).sum() <= 1e-13:
+            return p
+        jac = np.block([[np.diag(p.sum(axis=1)), p[:, :-1]],
+                        [p[:, :-1].T, np.diag(p.sum(axis=0)[:-1])]])
+        step = np.linalg.solve(jac, -np.concatenate([e_r, e_c[:-1]]))
+        f += step[:n]
+        g[:-1] += step[n:]
+    raise AssertionError("the Newton reference did not converge")
+
+
+def _plain_loop(scores, epsilon, tol, max_iter):
+    """The kernel-domain loop without a Newton finish, expression for
+    expression, for ranges within KERNEL_RANGE: (plan, residual history)."""
+    n, m = scores.shape
+    a = scores / epsilon
+    f = -a.max(axis=1)
+    row_shifted = a + f[:, None]
+    g = -row_shifted.max(axis=0)
+    k = np.exp(row_shifted + g[None, :])
+    k_t = np.ascontiguousarray(k.T)
+    kv = k @ np.exp(-g)
+    history = []
+    for _ in range(max_iter):
+        u = (1.0 / n) / kv
+        v = (1.0 / m) / (k_t @ u)
+        kv = k @ v
+        history.append(float(np.abs(u * kv - 1.0 / n).sum()))
+        if history[-1] <= tol:
+            break
+    return u[:, None] * k * v[None, :], history
+
+
 def _cosine_grid(seed, n, m, ratio):
     """Cosines of random unit rows, and the epsilon that makes their range
     ``ratio`` epsilons wide."""
@@ -120,37 +167,70 @@ def _solve(scores, epsilon, tol, max_iter):
         return sinkhorn_plan(SimilarityMatrix(scores), epsilon, tol, max_iter)
 
 
+def _switch_plan(scores, epsilon, residual):
+    """The plan after exactly NEWTON_AFTER plain sweeps: a tol ten times below
+    the residual the reference reaches there keeps every sweep, and leaves
+    the plan inside the warn band."""
+    plan = _solve(scores, epsilon, residual / 10.0, NEWTON_AFTER)
+    assert plan.iterations_used == NEWTON_AFTER and plan.newton_steps == 0
+    return plan
+
+
+def _check_newton_finish(plan, scores, epsilon, tol):
+    """A solve finished by Newton steps: at or below tol, columns exact, and
+    every entry within the returned residual of the tight reference (or
+    within that reference's own 1e-13, if the residual is smaller)."""
+    m = scores.shape[1]
+    assert plan.newton_steps > 0 and plan.residual <= tol and not plan.warning
+    np.testing.assert_allclose(plan.q.sum(axis=0), 1.0 / m, rtol=0, atol=1e-14)
+    error = np.abs(plan.q - _tight_reference(scores, epsilon)).max()
+    assert error <= max(plan.residual, 1e-13)
+
+
 class TestKernelDomain:
     # tol 1e-4 keeps the residual far above the reference's rounding: its
     # row sums exp(f + lse) add potentials of the order of the range (up to
-    # 350), which costs about 4e-14 absolute
+    # 350), which costs about 4e-14 absolute. The first two grids converge
+    # before the Newton switch; the others are checked in two parts, the
+    # plain sweeps before the switch and the Newton-finished plan.
     @pytest.mark.parametrize("seed,n,m,ratio", [
         (0, 12, 9, 10.0), (1, 16, 16, 60.0), (2, 7, 13, 150.0),
         (3, 11, 8, 250.0), (4, 9, 14, KERNEL_RANGE - 1.0)])
     def test_matches_log_domain_reference(self, seed, n, m, ratio):
         scores, epsilon = _cosine_grid(seed, n, m, ratio)
         plan = _solve(scores, epsilon, 1e-4, 2000)
-        q, iterations, residual = _log_domain_reference(scores, epsilon, 1e-4, 2000)
+        q, iterations, residual = _log_domain_reference(scores, epsilon, 1e-4,
+                                                        NEWTON_AFTER)
+        if residual > 1e-4:
+            # the plain loop would run on past the switch
+            _check_newton_finish(plan, scores, epsilon, 1e-4)
+            q, _, residual = _log_domain_reference(scores, epsilon, 0.0, NEWTON_AFTER)
+            plan = _switch_plan(scores, epsilon, residual)
         assert plan.iterations_used == iterations
         np.testing.assert_allclose(plan.q, q, rtol=1e-12, atol=0)
         assert plan.residual == pytest.approx(residual, rel=1e-9, abs=0)
 
-    # On grids that need about 2000 iterations the log-domain reference
-    # drifts from the kernel path by up to 3e-11; the same scaling in
-    # extended precision sides with the kernel path (it is at most 8e-14
-    # away), so those grids are checked against that instead.
+    # These grids need about 2000 plain sweeps to reach tol 1e-4, where the
+    # log-domain reference drifts from the kernel path by up to 3e-11; the
+    # same scaling in extended precision sides with the kernel path (it is
+    # at most 8e-14 away), so their plain sweeps are checked against that.
     @pytest.mark.parametrize("seed,n,m,ratio", [
         (3, 10, 10, 250.0), (5, 8, 16, 153.0), (8, 12, 12, 300.0)])
     def test_slow_grid_matches_extended_precision(self, seed, n, m, ratio):
         scores, epsilon = _cosine_grid(seed, n, m, ratio)
+        _, iterations, _ = _log_domain_reference(scores, epsilon, 1e-4, 2000)
+        assert iterations >= 1900
         plan = _solve(scores, epsilon, 1e-4, 2000)
-        _, iterations, residual = _log_domain_reference(scores, epsilon, 1e-4, 2000)
-        assert plan.iterations_used == iterations >= 1900
+        assert plan.iterations_used < 2 * NEWTON_AFTER
+        _check_newton_finish(plan, scores, epsilon, 1e-4)
+
+        _, _, residual = _log_domain_reference(scores, epsilon, 0.0, NEWTON_AFTER)
+        plan = _switch_plan(scores, epsilon, residual)
         assert plan.residual == pytest.approx(residual, rel=1e-9, abs=0)
         a = scores.astype(np.longdouble) / np.longdouble(epsilon)
         k = np.exp(a - a.max())
         kv = k.sum(axis=1)
-        for _ in range(iterations):
+        for _ in range(NEWTON_AFTER):
             u = (np.longdouble(1) / n) / kv
             v = (np.longdouble(1) / m) / (k.T @ u)
             kv = k @ v
@@ -193,10 +273,15 @@ class TestKernelDomain:
 
     @pytest.mark.parametrize("isolated", ["row", "column"])
     def test_isolated_line_just_below_the_switch(self, rng, isolated):
-        # one row (or column) at the bottom of the range drives its scaling
-        # u (or v) to about exp(KERNEL_RANGE) and its K v down to 1e-150
+        # Two rows (or columns) at the bottom of the range but for one shared
+        # entry at the top. The row and column shifts leave their kernel
+        # rows at 1 there and exp(-349) elsewhere, and the shared column
+        # holds room for only one of them, so half of each row's mass goes
+        # through the exp(-349) entries: their scalings u (or v) reach about
+        # exp(KERNEL_RANGE) times the rest, and K v falls to about 1e-150.
         scores = rng.uniform(0.9, 1.0, size=(8, 8))
-        scores[0] = 0.0
+        scores[:2] = 0.0
+        scores[:2, 0] = 1.0
         if isolated == "column":
             scores = scores.T.copy()
         epsilon = (scores.max() - scores.min()) / (KERNEL_RANGE - 1.0)
@@ -205,6 +290,74 @@ class TestKernelDomain:
         assert plan.residual <= 1e-9 and not plan.warning
         np.testing.assert_allclose(plan.q.sum(axis=0), 1.0 / 8.0, rtol=0, atol=1e-14)
         np.testing.assert_allclose(plan.q.sum(axis=1), 1.0 / 8.0, rtol=0, atol=1e-9)
+        # log u_i - log u_k = log(Q_ij / Q_kj) - (a_ij + f_i) + (a_kj + f_k)
+        # for the row shifts f = -max_j a_ij, read here in column 1
+        a = scores / epsilon
+        q = plan.q
+        if isolated == "column":
+            a, q = a.T, q.T
+        log_u = np.log(q[:, 1]) - (a[:, 1] - a.max(axis=1))
+        assert log_u.max() - log_u.min() > 0.95 * KERNEL_RANGE
+
+
+class TestNewtonFinish:
+    def test_capped_grid_reaches_tol(self):
+        # the plain loop stops at its cap 100x above tol and would raise
+        scores, epsilon = _cosine_grid(8, 12, 12, 300.0)
+        _, _, residual = _log_domain_reference(scores, epsilon, 1e-9, 2000)
+        assert residual > 100 * 1e-9
+        plan = sinkhorn_plan(SimilarityMatrix(scores), epsilon, 1e-9, 2000)
+        _check_newton_finish(plan, scores, epsilon, 1e-9)
+        assert plan.iterations_used == len(plan.residual_history) < 2000
+
+    def test_solve_before_the_switch_is_the_plain_loop(self):
+        scores, epsilon = _cosine_grid(1, 16, 16, 60.0)
+        plan = sinkhorn_plan(SimilarityMatrix(scores), epsilon, 1e-4, 2000)
+        q, history = _plain_loop(scores, epsilon, 1e-4, 2000)
+        assert plan.newton_steps == 0 and len(history) < NEWTON_AFTER
+        assert plan.residual_history == history
+        assert np.array_equal(plan.q, q)
+
+    def test_sweeps_before_the_switch_are_the_plain_loop(self):
+        scores, epsilon = _cosine_grid(4, 9, 14, KERNEL_RANGE - 1.0)
+        plan = _solve(scores, epsilon, 1e-4, 2000)
+        _, history = _plain_loop(scores, epsilon, 1e-4, 2000)
+        assert plan.newton_steps > 0 and len(history) > NEWTON_AFTER
+        assert plan.residual_history[:NEWTON_AFTER] == history[:NEWTON_AFTER]
+
+    @pytest.mark.parametrize("n,m", [(40, 24), (24, 40)])
+    def test_non_square_grid(self, n, m):
+        rng = np.random.default_rng(n)
+        scores = random_unit_rows(rng, n, 6) @ random_unit_rows(rng, m, 6).T
+        plan = sinkhorn_plan(SimilarityMatrix(scores), 0.01, 1e-9, 2000)
+        _check_newton_finish(plan, scores, 0.01, 1e-9)
+        np.testing.assert_allclose(plan.q.sum(axis=1), 1.0 / n, rtol=0, atol=1e-9)
+
+    def test_wide_grid_takes_no_newton_step(self):
+        # 500 epsilons wide: past the switch, but plain sweeps throughout
+        scores, epsilon = _cosine_grid(7, 10, 14, 500.0)
+        plan = sinkhorn_plan(SimilarityMatrix(scores), epsilon, 1e-9, 2000)
+        q, iterations, residual = _log_domain_reference(scores, epsilon, 1e-9, 2000)
+        assert plan.newton_steps == 0
+        assert plan.iterations_used == iterations > NEWTON_AFTER
+        assert plan.residual == pytest.approx(residual, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("grid", ["slow", "rejected-steps"])
+    def test_residual_history_non_increasing(self, rng, grid):
+        if grid == "slow":
+            scores, epsilon = _cosine_grid(3, 10, 10, 250.0)
+        else:
+            # the first Newton steps on this grid overshoot and are rejected
+            scores = rng.uniform(0.9, 1.0, size=(8, 8))
+            scores[:2] = 0.0
+            scores[:2, 0] = 1.0
+            epsilon = 1.0 / (KERNEL_RANGE - 1.0)
+        plan = sinkhorn_plan(SimilarityMatrix(scores), epsilon, 1e-9, 5000)
+        assert plan.newton_steps > 0 and plan.residual <= 1e-9
+        if grid == "rejected-steps":
+            assert plan.iterations_used > 2 * NEWTON_AFTER
+        # as in TestSinkhorn, a plain sweep may add rounding at 1e-16
+        assert np.all(np.diff(plan.residual_history) <= 1e-12)
 
 
 class TestBlendTargets:
