@@ -33,7 +33,8 @@ from .core import (
     MODALITY_QUERY,
     EmbeddingSet,
     SimilarityMatrix,
-    cosine_similarity_matrix,
+    cosine_blocks,
+    cosine_similarity_matrix,  # not called here; benchmarks/spans.py wraps it by name
     l2_normalize,
     opposite,
 )
@@ -482,9 +483,11 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
 
 
 def _full_report(config: TrainConfig, model) -> HubnessReport:
+    """Hubness over every query and gallery row, scored a block of query
+    rows at a time, so the n x n grid is never held whole."""
     full_q, full_g = model.full_embeddings()
-    s = cosine_similarity_matrix(EmbeddingSet(full_q, MODALITY_QUERY),
-                                 EmbeddingSet(full_g, MODALITY_GALLERY))
+    s = cosine_blocks(EmbeddingSet(full_q, MODALITY_QUERY),
+                      EmbeddingSet(full_g, MODALITY_GALLERY))
     return hubness_report(s, config.report_k, config.hub_size_factor,
                           config.atkinson_epsilon)
 

@@ -1,6 +1,6 @@
-"""`retrieve` and `analyze` score query rows a block at a time: the blocked
-output must equal the one-block output byte for byte, and the commands must
-never hold the whole n x m score grid."""
+"""`retrieve`, `analyze` and the hubness reports of `train` score query rows
+a block at a time: the blocked output must equal the one-block output byte
+for byte, and the commands must never hold the whole n x m score grid."""
 
 import contextlib
 import io
@@ -71,13 +71,11 @@ def test_blocked_output_equals_one_block_output(tmp_path, monkeypatch, rng):
     assert run(4, "blocked", 7) == run(1000, "whole", 1)
 
 
-@pytest.mark.parametrize("argv", [["retrieve"], ["retrieve", "--mode", "simi-cent"],
-                                  ["analyze"]])
-def test_peak_memory_below_half_the_score_grid(tmp_path, rng, argv):
-    n = m = 2000
+def _peak_bytes(argv: list, tmp_path, rng, n: int) -> int:
+    """Peak traced memory of one command on n x n random unit rows."""
     q, g = tmp_path / "q.emb", tmp_path / "g.emb"
     hio.write_embeddings(q, random_unit_rows(rng, n, 16), "query")
-    hio.write_embeddings(g, random_unit_rows(rng, m, 16), "gallery")
+    hio.write_embeddings(g, random_unit_rows(rng, n, 16), "gallery")
     # NumPy reports its data buffers to tracemalloc
     tracemalloc.start()
     try:
@@ -85,4 +83,22 @@ def test_peak_memory_below_half_the_score_grid(tmp_path, rng, argv):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * m * 8 / 2
+    return peak
+
+
+@pytest.mark.parametrize("argv", [["retrieve"], ["retrieve", "--mode", "simi-cent"],
+                                  ["analyze"]])
+def test_peak_memory_below_half_the_score_grid(tmp_path, rng, argv):
+    n = m = 2000
+    assert _peak_bytes(argv, tmp_path, rng, n) < n * m * 8 / 2
+
+
+def test_train_reports_below_the_score_grid(tmp_path, rng):
+    # one epoch of the weighting loss alone, so the two hubness reports over
+    # all 2000 x 2000 pairs dominate; train also holds an n x n bool label
+    # mask (an eighth of the grid) that it never reads
+    n = m = 2000
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "use_nbi": False, "use_opt": False,
+                               "learning_rate": 0.01}))
+    assert _peak_bytes(["train", "--config", str(cfg)], tmp_path, rng, n) < n * m * 8
