@@ -69,9 +69,9 @@ class BlendedTarget:
 # times both scalings inside float64 for any range.
 KERNEL_RANGE = 350.0
 
-# Plain sweeps before a solve still above tol switches to Newton steps. Most
-# solves of a training run converge within this many sweeps and are left
-# exactly as the plain loop returns them.
+# Plain sweeps after which a solve still above tol switches to Newton steps.
+# Most solves of a training run converge within this many sweeps and are
+# left exactly as the plain loop returns them.
 NEWTON_AFTER = 200
 
 # Added to the diagonal of the Newton system, whose matrix is singular along
@@ -93,11 +93,12 @@ def _newton_step(k: np.ndarray, k_t: np.ndarray, u: np.ndarray,
     n, m = k.shape
     p = u[:, None] * k * v[None, :]
     rows = u * kv
+    cols = p.sum(axis=0)
     e_r = rows - 1.0 / n
-    e_c = p.sum(axis=0) - 1.0 / m
+    e_c = cols - 1.0 / m
     p_r = p / rows[:, None]
     schur = -(p_r.T @ p)
-    schur[np.diag_indices(m)] += p.sum(axis=0) + _NEWTON_RIDGE
+    schur[np.diag_indices(m)] += cols + _NEWTON_RIDGE
     try:
         dy = np.linalg.solve(schur, p_r.T @ e_r - e_c)
     except np.linalg.LinAlgError:
