@@ -167,6 +167,18 @@ def _solve(scores, epsilon, tol, max_iter):
         return sinkhorn_plan(SimilarityMatrix(scores), epsilon, tol, max_iter)
 
 
+def _shared_top_column(rng):
+    """8 x 8 scores in [0.9, 1], but for two rows at 0 except a shared 1 in
+    column 0. The row and column shifts leave their kernel rows at 1 there
+    and at exp(-range / epsilon) elsewhere, and column 0 holds room for only
+    one of them, so half of each row's mass goes through the smallest
+    kernel entries."""
+    scores = rng.uniform(0.9, 1.0, size=(8, 8))
+    scores[:2] = 0.0
+    scores[:2, 0] = 1.0
+    return scores
+
+
 def _switch_plan(scores, epsilon, residual):
     """The plan after exactly NEWTON_AFTER plain sweeps: a tol ten times below
     the residual the reference reaches there keeps every sweep, and leaves
@@ -202,9 +214,9 @@ class TestKernelDomain:
         q, iterations, residual = _log_domain_reference(scores, epsilon, 1e-4,
                                                         NEWTON_AFTER)
         if residual > 1e-4:
-            # the plain loop would run on past the switch
+            # the reference ran every sweep up to the switch: check the
+            # Newton-finished plan, then the plain sweeps against q
             _check_newton_finish(plan, scores, epsilon, 1e-4)
-            q, _, residual = _log_domain_reference(scores, epsilon, 0.0, NEWTON_AFTER)
             plan = _switch_plan(scores, epsilon, residual)
         assert plan.iterations_used == iterations
         np.testing.assert_allclose(plan.q, q, rtol=1e-12, atol=0)
@@ -273,15 +285,10 @@ class TestKernelDomain:
 
     @pytest.mark.parametrize("isolated", ["row", "column"])
     def test_isolated_line_just_below_the_switch(self, rng, isolated):
-        # Two rows (or columns) at the bottom of the range but for one shared
-        # entry at the top. The row and column shifts leave their kernel
-        # rows at 1 there and exp(-349) elsewhere, and the shared column
-        # holds room for only one of them, so half of each row's mass goes
-        # through the exp(-349) entries: their scalings u (or v) reach about
-        # exp(KERNEL_RANGE) times the rest, and K v falls to about 1e-150.
-        scores = rng.uniform(0.9, 1.0, size=(8, 8))
-        scores[:2] = 0.0
-        scores[:2, 0] = 1.0
+        # at 349 epsilons, the two rows (or columns) of _shared_top_column
+        # drive their scalings u (or v) to about exp(KERNEL_RANGE) times the
+        # rest, and their K v down to about 1e-150
+        scores = _shared_top_column(rng)
         if isolated == "column":
             scores = scores.T.copy()
         epsilon = (scores.max() - scores.min()) / (KERNEL_RANGE - 1.0)
@@ -348,9 +355,7 @@ class TestNewtonFinish:
             scores, epsilon = _cosine_grid(3, 10, 10, 250.0)
         else:
             # the first Newton steps on this grid overshoot and are rejected
-            scores = rng.uniform(0.9, 1.0, size=(8, 8))
-            scores[:2] = 0.0
-            scores[:2, 0] = 1.0
+            scores = _shared_top_column(rng)
             epsilon = 1.0 / (KERNEL_RANGE - 1.0)
         plan = sinkhorn_plan(SimilarityMatrix(scores), epsilon, 1e-9, 5000)
         assert plan.newton_steps > 0 and plan.residual <= 1e-9
