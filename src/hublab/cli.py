@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -34,8 +36,7 @@ from .core import (MODALITY_GALLERY, EmbeddingSet, cosine_blocks,
                    cosine_similarity_matrix)
 from .errors import ConfigError, HubLabError
 from .eval import retrieval_eval, infer_simi_cent
-from .hubness import (RelevanceLabels, hubness_report, pseudo_positive_probe,
-                      top_k_indices)
+from .hubness import RelevanceLabels, hubness_report, pseudo_positive_probe
 from .trainer import CURVE_COLUMNS, PairedData, synth_generate, train
 
 
@@ -85,6 +86,29 @@ def _load_labels(path, shape) -> RelevanceLabels:
         return RelevanceLabels.from_pairs(pairs, shape, source)
     except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad label pairs: {exc}") from exc
+
+
+# rows per query in ranked.csv
+RANKED_TOP = 10
+
+# characters that make csv.writer quote a field: the delimiter, the quote
+# character and those of its "\r\n" line terminator
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_cells(values: list) -> list:
+    """Each value as csv.writer writes it inside a row of the excel dialect;
+    only a non-string or a string that needs quoting goes through csv."""
+    def cell(value):
+        if isinstance(value, str) and not _CSV_SPECIAL.search(value):
+            return value
+        text = io.StringIO()
+        csv.writer(text).writerow([value, ""])
+        return text.getvalue()[:-len(",\r\n")]
+    if all(isinstance(value, str) for value in values) and not _CSV_SPECIAL.search(
+            "".join(values)):
+        return values
+    return [cell(value) for value in values]
 
 
 def cmd_analyze(resolved: dict, out_root) -> Path:
@@ -157,8 +181,8 @@ def cmd_retrieve(resolved: dict, out_root) -> Path:
     # ranked.csv's top 10 of each block, read while the block is in memory
     tops, top_scores = [], []
 
-    def keep_top(block):
-        top = top_k_indices(block.scores, min(10, s.m))
+    def keep_top(block, top):
+        top = top[:, :RANKED_TOP]
         tops.append(top)
         top_scores.append(np.take_along_axis(block.scores, top, axis=1))
 
@@ -166,15 +190,16 @@ def cmd_retrieve(resolved: dict, out_root) -> Path:
     out = _artifact_dir(out_root, "retrieve", resolved)
     _write_json(out / "retrieval.json", "retrieve", resolved,
                 {"mode": resolved["mode"], "scores": scores.to_dict()})
-    gallery_ids = galleries.ids or [f"g{j:05d}" for j in range(s.m)]
-    query_ids = queries.ids or [f"q{i:05d}" for i in range(s.n)]
+    gallery_ids = _csv_cells(galleries.ids or [f"g{j:05d}" for j in range(s.m)])
+    query_ids = _csv_cells(queries.ids or [f"q{i:05d}" for i in range(s.n)])
+    top = np.concatenate(tops)
+    heads = [f"{query},{rank}," for query in query_ids
+             for rank in range(1, top.shape[1] + 1)]
+    ranked = [gallery_ids[j] for j in top.ravel().tolist()]
+    lines = [f"{head}{gallery},{value!r}\r\n" for head, gallery, value
+             in zip(heads, ranked, np.concatenate(top_scores).ravel().tolist())]
     with open(out / "ranked.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "rank", "gallery_id", "score"])
-        rows = zip(np.concatenate(tops).tolist(), np.concatenate(top_scores).tolist())
-        for i, (columns, values) in enumerate(rows):
-            writer.writerows([query_ids[i], rank, gallery_ids[j], repr(value)]
-                             for rank, (j, value) in enumerate(zip(columns, values), 1))
+        fh.write("query_id,rank,gallery_id,score\r\n" + "".join(lines))
     return out
 
 
@@ -186,8 +211,8 @@ def cmd_probe(resolved: dict, out_root) -> Path:
     out = _artifact_dir(out_root, "probe", resolved)
     _write_json(out / "labels.json", "probe", resolved,
                 {"source": labels.source,
-                 "n": int(labels.matrix.shape[0]),
-                 "m": int(labels.matrix.shape[1]),
+                 "n": labels.shape[0],
+                 "m": labels.shape[1],
                  "pairs": labels.to_pairs()})
     return out
 

@@ -137,9 +137,19 @@ class CosineBlocks:
         return self.galleries.shape[0]
 
     def blocks(self):
+        """Yield each block's ``(rows, SimilarityMatrix)`` in row order.
+
+        Every block is written into one buffer of the largest block's size,
+        so a block is valid only until the next one is requested: read it,
+        or copy what is kept, before advancing. ``np.matmul`` into that
+        buffer gives the bits of the plain ``@``.
+        """
         galleries = self.galleries.T
-        for rows in row_blocks(self.n):
-            scores = self.queries[rows] @ galleries
+        spans = row_blocks(self.n)
+        buffer = np.empty((max(rows.stop - rows.start for rows in spans), self.m))
+        for rows in spans:
+            scores = np.matmul(self.queries[rows], galleries,
+                               out=buffer[:rows.stop - rows.start])
             for values in self.column_offsets:
                 scores -= values
             yield rows, SimilarityMatrix(scores)

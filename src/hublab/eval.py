@@ -43,29 +43,32 @@ class RetrievalScores:
 
 def retrieval_eval(s: SimilarityMatrix | CosineBlocks, labels: RelevanceLabels,
                    each_block=None) -> RetrievalScores:
-    """Score a similarity matrix, or its ``CosineBlocks``, against a relevance mask.
+    """Score a similarity matrix, or its ``CosineBlocks``, against relevance labels.
 
     R@K counts a query as a hit when any relevant item ranks inside the
     top K; the query's rank is that of its best-ranked relevant item.
     mAP@R and R-Precision are computed per query over its own number of
     relevant items R, then averaged. Each query row is scored inside its
-    block; ``each_block(block)``, when given, is called with every block in
-    row order after it has been scored, so the caller can read it while it
-    is in memory.
+    block from one ``top_k_indices`` call that keeps the largest R or
+    ``max(RECALL_KS)`` columns, whichever is more; ``each_block(block,
+    top)``, when given, is called with every block and those columns in row
+    order after the block has been scored, so the caller can read both
+    while they are in memory.
     """
-    if labels.matrix.shape != (s.n, s.m):
-        raise ShapeMismatch(f"labels cover {labels.matrix.shape}, scores are {(s.n, s.m)}")
-    rel = labels.matrix
-    if not rel.any(axis=1).all():
+    if labels.shape != (s.n, s.m):
+        raise ShapeMismatch(f"labels cover {labels.shape}, scores are {(s.n, s.m)}")
+    r = labels.counts()
+    if not r.all():
         raise NoRelevant("every query needs at least one relevant gallery item")
 
-    r = rel.sum(axis=1)
     depth = int(r.max())
+    width = min(max(depth, max(RECALL_KS)), s.m)
     parts = []
     for rows, block in s.blocks():
-        parts.append(_score_rows(block.scores, rel[rows], r[rows], depth))
+        top = top_k_indices(block.scores, width)
+        parts.append(_score_rows(block.scores, top, labels, rows, depth))
         if each_block is not None:
-            each_block(block)
+            each_block(block, top)
     best_rank, average_precision, r_precision = map(np.concatenate, zip(*parts))
     r_at = {k: float(100.0 * (best_rank <= k).mean()) for k in RECALL_KS}
     return RetrievalScores(
@@ -78,25 +81,50 @@ def retrieval_eval(s: SimilarityMatrix | CosineBlocks, labels: RelevanceLabels,
     )
 
 
-def _score_rows(scores: np.ndarray, rel: np.ndarray, r: np.ndarray, depth: int):
-    """Per-row best relevant rank, average precision at R and R-Precision.
+def _score_rows(scores: np.ndarray, top: np.ndarray, labels: RelevanceLabels,
+                rows: slice, depth: int):
+    """Per-row best relevant rank, average precision at R and R-Precision of
+    the block ``scores`` of query rows ``rows``.
 
-    ``depth`` is the largest R over all rows, so that every block reads the
-    same top-``depth`` columns and sums rows of the same length.
+    ``top`` holds each row's best columns in rank order, at least ``depth``
+    of them. ``depth`` is the largest R over all rows, so that every block
+    sums rows of the same length.
     """
-    m = scores.shape[1]
-    # the best relevant column: highest score, lowest index on ties
-    best = np.where(rel, scores, -np.inf).argmax(axis=1)[:, None]
-    best_score = np.take_along_axis(scores, best, axis=1)
-    # its stable-sort rank: every higher score, and equal scores at lower columns
-    best_rank = ((scores > best_score).sum(axis=1)
-                 + ((scores == best_score) & (np.arange(m) < best)).sum(axis=1) + 1)
+    indptr = labels.indptr[rows.start:rows.stop + 1]
+    r = np.diff(indptr)
+    hits = labels.contains(rows, top)
+    # the first relevant column in rank order is the best relevant one; a
+    # row with none in ``top`` counts its rank over the whole row
+    best_rank = hits.argmax(axis=1) + 1
+    missed = np.flatnonzero(~hits.any(axis=1))
+    if missed.size:
+        best_rank[missed] = _count_rank(scores[missed], labels.indices, indptr[missed],
+                                        r[missed])
     # mAP@R and R-Precision read only each row's own top R
-    top = top_k_indices(scores, depth)
     positions = np.arange(1, depth + 1)
-    hits = np.take_along_axis(rel, top, axis=1) & (positions <= r[:, None])
+    hits = hits[:, :depth] & (positions <= r[:, None])
     precision = np.cumsum(hits, axis=1) / positions
     return best_rank, (precision * hits).sum(axis=1) / r, hits.sum(axis=1) / r
+
+
+def _count_rank(scores: np.ndarray, indices: np.ndarray, starts: np.ndarray,
+                r: np.ndarray) -> np.ndarray:
+    """The stable-sort rank of each row's best relevant column, the columns
+    of row i being ``indices[starts[i]:starts[i] + r[i]]``, ascending."""
+    # gather every row's relevant columns and their scores into segments
+    seg_starts = np.cumsum(r) - r
+    at = np.arange(r.sum()) + np.repeat(starts - seg_starts, r)
+    cols = indices[at]
+    values = scores[np.repeat(np.arange(len(r)), r), cols]
+    # the best relevant column: highest score, lowest index on ties
+    best_score = np.maximum.reduceat(values, seg_starts)
+    at_best = np.flatnonzero(values == np.repeat(best_score, r))
+    best = cols[at_best[np.searchsorted(at_best, seg_starts)]]
+    # its rank: every higher score, and equal scores at lower columns
+    best_score = best_score[:, None]
+    return ((scores > best_score).sum(axis=1)
+            + ((scores == best_score) & (np.arange(scores.shape[1]) < best[:, None]))
+            .sum(axis=1) + 1)
 
 
 def infer_simi_cent(s: SimilarityMatrix | CosineBlocks, gallery: EmbeddingSet,

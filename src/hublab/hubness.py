@@ -13,7 +13,6 @@ partitions out each row's k best columns and sorts them stably.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -50,36 +49,97 @@ class KOccurrence:
 
 @dataclass
 class RelevanceLabels:
-    """Boolean query-by-gallery relevance mask."""
+    """Query-by-gallery relevance as index lists (CSR): row i's relevant
+    gallery columns are ``indices[indptr[i]:indptr[i + 1]]``, ascending and
+    without repeats, on a grid of ``shape`` (n, m)."""
 
-    matrix: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: tuple
     source: str = "ground-truth"
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=bool)
-        if self.matrix.ndim != 2:
-            raise ValueError(f"expected a 2-D mask, got shape {self.matrix.shape}")
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.shape = tuple(int(v) for v in self.shape)
+        if len(self.shape) != 2:
+            raise ValueError(f"expected a 2-D grid, got shape {self.shape}")
+        if self.indptr.shape != (self.shape[0] + 1,) or self.indptr[-1] != self.indices.size:
+            raise ValueError(f"indptr does not index {self.indices.size} columns "
+                             f"over {self.shape[0]} rows")
         if self.source not in ("ground-truth", "pseudo-positive"):
             raise ValueError(f"unknown label source {self.source!r}")
 
     @classmethod
     def diagonal(cls, n: int, source: str = "ground-truth") -> "RelevanceLabels":
-        return cls(np.eye(n, dtype=bool), source)
+        return cls(np.arange(n + 1), np.arange(n), (n, n), source)
+
+    @classmethod
+    def _from_keys(cls, keys: np.ndarray, shape, source: str) -> "RelevanceLabels":
+        """Labels from ascending, distinct keys row * m + column."""
+        rows, cols = np.divmod(keys, shape[1])
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+        return cls(indptr, cols, shape, source)
 
     @classmethod
     def from_pairs(cls, pairs, shape, source: str = "ground-truth") -> "RelevanceLabels":
-        matrix = np.zeros(shape, dtype=bool)
-        for i, j in pairs:
-            i, j = operator.index(i), operator.index(j)
-            # a negative index would silently wrap around
-            if not (0 <= i < shape[0] and 0 <= j < shape[1]):
-                raise IndexError(f"pair ({i}, {j}) outside the {shape[0]}x{shape[1]} grid")
-            matrix[i, j] = True
-        return cls(matrix, source)
+        """Labels from [i, j] pairs; a repeated pair counts once."""
+        pairs = np.asarray(pairs)
+        if pairs.size == 0:
+            pairs = np.zeros((0, 2), dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"expected a list of [i, j] pairs, got shape {pairs.shape}")
+        if pairs.dtype.kind not in "iub":
+            # a float index would be truncated to a valid-looking row
+            raise TypeError(f"pair indices must be integers, got {pairs.dtype} values")
+        i, j = pairs.astype(np.int64).T
+        # a negative index would silently wrap around
+        outside = np.flatnonzero((i < 0) | (i >= shape[0]) | (j < 0) | (j >= shape[1]))
+        if outside.size:
+            bad = outside[0]
+            raise IndexError(f"pair ({i[bad]}, {j[bad]}) outside the "
+                             f"{shape[0]}x{shape[1]} grid")
+        return cls._from_keys(np.unique(i * shape[1] + j), shape, source)
+
+    @classmethod
+    def from_mask(cls, mask, source: str = "ground-truth") -> "RelevanceLabels":
+        """Labels from a dense boolean n x m mask."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2:
+            raise ValueError(f"expected a 2-D mask, got shape {mask.shape}")
+        return cls._from_keys(np.flatnonzero(mask), mask.shape, source)
+
+    def counts(self) -> np.ndarray:
+        """The number of relevant columns of each row."""
+        return np.diff(self.indptr)
+
+    def keys(self, rows: slice = slice(None)) -> np.ndarray:
+        """row * m + column of every relevant pair in ``rows``, ascending."""
+        lo, hi, _ = rows.indices(self.shape[0])
+        counts = np.diff(self.indptr[lo:hi + 1])
+        return (np.repeat(np.arange(lo, hi) * self.shape[1], counts)
+                + self.indices[self.indptr[lo]:self.indptr[hi]])
+
+    def contains(self, rows: slice, columns: np.ndarray) -> np.ndarray:
+        """Whether ``columns[i, t]`` is relevant to query row ``rows.start + i``,
+        for a block of consecutive ``rows``."""
+        keys = self.keys(rows)
+        if keys.size == 0:
+            return np.zeros(columns.shape, dtype=bool)
+        lo, hi, _ = rows.indices(self.shape[0])
+        probe = np.arange(lo, hi)[:, None] * self.shape[1] + columns
+        return keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x m boolean mask, built on each access."""
+        mask = np.zeros(self.shape, dtype=bool)
+        mask.ravel()[self.keys()] = True
+        return mask
 
     def to_pairs(self) -> list:
-        rows, cols = np.nonzero(self.matrix)
-        return [[int(i), int(j)] for i, j in zip(rows, cols)]
+        rows = np.repeat(np.arange(self.shape[0]), self.counts())
+        return np.stack([rows, self.indices], axis=1).tolist()
 
 
 @dataclass
@@ -164,13 +224,12 @@ def k_occurrence(s: SimilarityMatrix | CosineBlocks, k: int) -> KOccurrence:
 def good_bad_occurrence(s: SimilarityMatrix, k: int,
                         labels: RelevanceLabels) -> tuple[np.ndarray, np.ndarray]:
     """Split each item's k-occurrence into relevant and irrelevant counts."""
-    if labels.matrix.shape != s.scores.shape:
-        raise MissingLabels(
-            f"labels cover {labels.matrix.shape}, scores are {s.scores.shape}")
+    if labels.shape != s.scores.shape:
+        raise MissingLabels(f"labels cover {labels.shape}, scores are {s.scores.shape}")
     if k > s.m:
         raise KTooLarge(f"k={k} exceeds gallery size {s.m}")
     top = top_k_indices(s.scores, k)
-    relevant = np.take_along_axis(labels.matrix, top, axis=1).ravel()
+    relevant = labels.contains(slice(0, s.n), top).ravel()
     cols = top.ravel()
     return (np.bincount(cols[relevant], minlength=s.m),
             np.bincount(cols[~relevant], minlength=s.m))
@@ -248,7 +307,7 @@ def pseudo_positive_probe(texts: EmbeddingSet, threshold: float) -> RelevanceLab
     sims = 0.5 * (sims + sims.T)
     matrix = sims >= threshold
     np.fill_diagonal(matrix, True)
-    return RelevanceLabels(matrix, source="pseudo-positive")
+    return RelevanceLabels.from_mask(matrix, source="pseudo-positive")
 
 
 def count_histogram(occ: KOccurrence) -> list:

@@ -82,7 +82,7 @@ class TestRetrievalEval:
         if grid == "full-row":
             # R = m for this row, so the top-R block is a full sort
             mask[3] = True
-        labels = RelevanceLabels(mask)
+        labels = RelevanceLabels.from_mask(mask)
         got = retrieval_eval(SimilarityMatrix(scores), labels)
         oracle = brute_force_retrieval(scores, mask)
         assert got.r_at == {1: oracle["r1"], 5: oracle["r5"], 10: oracle["r10"]}
@@ -95,7 +95,7 @@ class TestRetrievalEval:
         scores = rng.normal(size=(30, 40))
         mask = np.zeros((30, 40), dtype=bool)
         mask[np.arange(30), rng.integers(0, 40, size=30)] = True
-        got = retrieval_eval(SimilarityMatrix(scores), RelevanceLabels(mask))
+        got = retrieval_eval(SimilarityMatrix(scores), RelevanceLabels.from_mask(mask))
         assert got.r_at[1] <= got.r_at[5] <= got.r_at[10]
         assert got.rsum == pytest.approx(got.r_at[1] + got.r_at[5] + got.r_at[10])
 
@@ -104,7 +104,7 @@ class TestRetrievalEval:
         mask[0, 0] = True
         with pytest.raises(NoRelevant):
             retrieval_eval(SimilarityMatrix(np.zeros((2, 3))),
-                           RelevanceLabels(mask))
+                           RelevanceLabels.from_mask(mask))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

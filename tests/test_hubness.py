@@ -106,7 +106,7 @@ class TestKOccurrence:
 class TestGoodBad:
     def test_all_relevant_means_no_bad(self, rng):
         scores = rng.normal(size=(6, 6))
-        labels = RelevanceLabels(np.ones((6, 6), dtype=bool))
+        labels = RelevanceLabels.from_mask(np.ones((6, 6), dtype=bool))
         good, bad = good_bad_occurrence(SimilarityMatrix(scores), 3, labels)
         assert bad.sum() == 0 and good.sum() == 18
 
@@ -120,7 +120,7 @@ class TestGoodBad:
         scores = rng.normal(size=(30, 30))
         mask = rng.uniform(size=(30, 30)) < 0.2
         mask[np.arange(30), np.arange(30)] = True
-        labels = RelevanceLabels(mask)
+        labels = RelevanceLabels.from_mask(mask)
         good, bad = good_bad_occurrence(SimilarityMatrix(scores), 5, labels)
         top = brute_force_topk(scores, 5)
         eg = np.zeros(30, dtype=int)
@@ -138,7 +138,7 @@ class TestGoodBad:
         scores = rng.normal(size=(25, 18))
         mask = rng.uniform(size=(25, 18)) < 0.3
         mask[:, 0] = True
-        labels = RelevanceLabels(mask)
+        labels = RelevanceLabels.from_mask(mask)
         s = SimilarityMatrix(scores)
         good, bad = good_bad_occurrence(s, 4, labels)
         np.testing.assert_array_equal(good + bad, k_occurrence(s, 4).counts)

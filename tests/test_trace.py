@@ -78,10 +78,10 @@ def test_traced_retrieve_counts_top_r(tmp_path, capsys, rng):
     hublab.io.write_embeddings(g, random_unit_rows(rng, 12, 4), "gallery")
     metrics = _traced_run(["retrieve", "--queries", str(q), "--galleries", str(g),
                            "--mode", "simi-cent", "--out", str(tmp_path)])
-    # diagonal labels give R = 1: retrieval_eval keeps one column of twelve,
-    # and ranked.csv's top 10 goes through cli's own, unwrapped name
+    # diagonal labels give R = 1: retrieval_eval's one call per block keeps
+    # max(R, 10) = 10 columns of twelve, and ranked.csv reuses them
     assert metrics["hubness.topk_calls"] == 1
-    assert metrics["hubness.topk_keep_ratio"] == 1 / 12
+    assert metrics["hubness.topk_keep_ratio"] == 10 / 12
     assert metrics["bank.centrality_calls"] == 1
     assert metrics["eval.retrieval_s"] > 0
     assert metrics["eval.simi_cent_s"] > 0
