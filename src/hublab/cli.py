@@ -97,18 +97,18 @@ _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
 def _csv_cells(values: list) -> list:
-    """Each value as csv.writer writes it inside a row of the excel dialect;
-    only a non-string or a string that needs quoting goes through csv."""
-    def cell(value):
-        if isinstance(value, str) and not _CSV_SPECIAL.search(value):
-            return value
-        text = io.StringIO()
-        csv.writer(text).writerow([value, ""])
-        return text.getvalue()[:-len(",\r\n")]
+    """Each value as csv.writer writes it inside a row of the excel dialect.
+    Strings that need no quoting, as ids usually are, are returned as they
+    are; otherwise each value goes through csv once."""
     if all(isinstance(value, str) for value in values) and not _CSV_SPECIAL.search(
             "".join(values)):
         return values
-    return [cell(value) for value in values]
+    cells = []
+    for value in values:
+        text = io.StringIO()
+        csv.writer(text).writerow([value, ""])
+        cells.append(text.getvalue()[:-len(",\r\n")])
+    return cells
 
 
 def cmd_analyze(resolved: dict, out_root) -> Path:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import hublab.core
 from hublab import (
+    CosineBlocks,
     EmbeddingSet,
     MemoryBank,
     RelevanceLabels,
     SimilarityMatrix,
+    good_bad_occurrence,
     infer_simi_cent,
     push_batch,
     retrieval_eval,
@@ -69,10 +72,14 @@ class TestRetrievalEval:
         assert out.median_rank == 10.0
         assert out.r_at[1] == 0.0
 
-    @pytest.mark.parametrize("grid", ["normal", "ties", "rectangular", "full-row"])
+    @pytest.mark.parametrize("grid", ["normal", "ties", "rectangular", "full-row",
+                                      "below-top-10", "ties-below-top-10",
+                                      "r-above-10", "m-below-10"])
     def test_against_exhaustive_oracle_multipositive(self, grid, rng):
-        n, m = (30, 70) if grid == "rectangular" else (50, 50)
-        if grid == "ties":
+        # retrieval_eval keeps max(R, 10) columns per row: ranks inside them
+        # are read off that top-k, ranks below them are counted
+        n, m = {"rectangular": (30, 70), "m-below-10": (15, 6)}.get(grid, (50, 50))
+        if grid.startswith("ties"):
             # integer scores tie often, so the lower-index rule decides ranks
             scores = rng.integers(-3, 4, size=(n, m)).astype(float)
         else:
@@ -82,11 +89,61 @@ class TestRetrievalEval:
         if grid == "full-row":
             # R = m for this row, so the top-R block is a full sort
             mask[3] = True
+        if grid == "r-above-10":
+            mask[:10] |= rng.uniform(size=(10, m)) < 0.4
+            assert mask.sum(axis=1).max() > 10
+        if grid.endswith("below-top-10"):
+            # half the rows keep relevant items only among their lowest scores
+            for i in range(0, n, 2):
+                low = np.argsort(scores[i], kind="stable")[:m - 15]
+                mask[i] = False
+                mask[i, rng.choice(low, size=rng.integers(1, 4), replace=False)] = True
         labels = RelevanceLabels.from_mask(mask)
         got = retrieval_eval(SimilarityMatrix(scores), labels)
         oracle = brute_force_retrieval(scores, mask)
         assert got.r_at == {1: oracle["r1"], 5: oracle["r5"], 10: oracle["r10"]}
         assert got.median_rank == oracle["mdr"]
+        assert got.mean_rank == oracle["mnr"]
+        assert got.map_at_r == pytest.approx(oracle["map"], abs=1e-12)
+        assert got.r_precision == pytest.approx(oracle["rp"], abs=1e-12)
+
+    def test_counted_rank_breaks_ties_to_the_lower_column(self):
+        # 12 columns score 5, so the top 10 holds none of the relevant ones
+        row = np.zeros(30)
+        row[:12] = 5.0
+        row[[14, 17, 20, 25]] = 2.0
+        row[22] = 3.0
+        scores = np.tile(row, (4, 1))
+        pairs = [[0, 17], [0, 25],   # best 17: ties at 14 above it, 20 and 25 below
+                 [1, 11],            # a score-5 column outside the top 10
+                 [2, 25], [2, 3],    # a top-10 column: read off the top-k
+                 [3, 29], [3, 20]]   # best 20, above the zero at 29
+        labels = RelevanceLabels.from_pairs(pairs, (4, 30))
+        mask = labels.matrix
+        got = retrieval_eval(SimilarityMatrix(scores), labels)
+        oracle = brute_force_retrieval(scores, mask)
+        assert got.mean_rank == oracle["mnr"] == (15 + 12 + 4 + 16) / 4
+        assert got.median_rank == oracle["mdr"]
+
+    def test_blocks_against_exhaustive_oracle(self, monkeypatch, rng):
+        # CosineBlocks of 4-row blocks: labels are read a block of rows at a time
+        monkeypatch.setattr(hublab.core, "BLOCK_ROWS", 4)
+        s = CosineBlocks(random_unit_rows(rng, 30, 6), random_unit_rows(rng, 40, 6))
+        scores = np.concatenate([block.scores.copy() for _, block in s.blocks()])
+        mask = rng.uniform(size=(30, 40)) < 0.1
+        mask[np.arange(30), np.arange(30)] = True
+        mask[7] |= rng.uniform(size=40) < 0.5
+        width = max(mask.sum(axis=1).max(), 10)
+        tops = []
+
+        def each_block(block, top):
+            order = np.argsort(-block.scores, axis=1, kind="stable")
+            tops.append(top.shape[1] == width and (top == order[:, :width]).all())
+
+        got = retrieval_eval(s, RelevanceLabels.from_mask(mask), each_block)
+        assert tops == [True] * 7
+        oracle = brute_force_retrieval(scores, mask)
+        assert got.r_at == {1: oracle["r1"], 5: oracle["r5"], 10: oracle["r10"]}
         assert got.mean_rank == oracle["mnr"]
         assert got.map_at_r == pytest.approx(oracle["map"], abs=1e-12)
         assert got.r_precision == pytest.approx(oracle["rp"], abs=1e-12)
@@ -110,6 +167,42 @@ class TestRetrievalEval:
         with pytest.raises(ShapeMismatch):
             retrieval_eval(SimilarityMatrix(np.zeros((2, 3))),
                            RelevanceLabels.diagonal(2))
+
+
+class TestRelevanceLabels:
+    def test_from_pairs_counts_a_repeated_pair_once(self):
+        pairs = [[2, 1], [0, 3], [2, 1], [0, 0], [0, 3]]
+        labels = RelevanceLabels.from_pairs(pairs, (3, 4))
+        np.testing.assert_array_equal(labels.indptr, [0, 2, 2, 3])
+        np.testing.assert_array_equal(labels.indices, [0, 3, 1])
+        assert labels.to_pairs() == [[0, 0], [0, 3], [2, 1]]
+        expected = np.zeros((3, 4), dtype=bool)
+        expected[[2, 0, 0], [1, 3, 0]] = True
+        np.testing.assert_array_equal(labels.matrix, expected)
+
+    def test_mask_round_trip_and_diagonal(self, rng):
+        mask = rng.uniform(size=(9, 7)) < 0.3
+        labels = RelevanceLabels.from_mask(mask)
+        np.testing.assert_array_equal(labels.matrix, mask)
+        assert labels.to_pairs() == np.argwhere(mask).tolist()
+        again = RelevanceLabels.from_pairs(labels.to_pairs(), (9, 7))
+        np.testing.assert_array_equal(again.indptr, labels.indptr)
+        np.testing.assert_array_equal(again.indices, labels.indices)
+        np.testing.assert_array_equal(RelevanceLabels.diagonal(5).matrix,
+                                      np.eye(5, dtype=bool))
+
+    def test_good_bad_occurrence_against_mask_oracle(self, rng):
+        # pairs drawn with repeats, and seven of them listed twice
+        scores = rng.normal(size=(20, 25))
+        pairs = [[i, int(j)] for i in range(20) for j in rng.choice(25, size=3)]
+        labels = RelevanceLabels.from_pairs(pairs + pairs[:7], (20, 25))
+        good, bad = good_bad_occurrence(SimilarityMatrix(scores), 6, labels)
+        mask = np.zeros((20, 25), dtype=bool)
+        mask[tuple(np.array(pairs).T)] = True
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :6]
+        relevant = np.take_along_axis(mask, top, axis=1)
+        np.testing.assert_array_equal(good, np.bincount(top[relevant], minlength=25))
+        np.testing.assert_array_equal(bad, np.bincount(top[~relevant], minlength=25))
 
 
 class TestInferSimiCent:

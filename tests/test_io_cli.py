@@ -238,6 +238,36 @@ class TestCli:
             hublab.cosine_similarity_matrix(qs, gs), labels).to_dict()
         assert doc["scores"] == json.loads(json.dumps(expected))
 
+    def test_ranked_csv_equals_csv_writer(self, tmp_path, capsys, rng):
+        # ids that csv.writer quotes, doubles a quote in, or writes as text
+        special = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "café", "漢字",
+                   "", " lead", 7, None, 2.5, True]
+        query_ids = special + [f"query {i}" for i in range(len(special), 14)]
+        gallery_ids = list(reversed(special)) + [f"g-{i}" for i in range(len(special), 14)]
+        q, g = random_unit_rows(rng, 14, 5), random_unit_rows(rng, 14, 5)
+        hio.write_embeddings(tmp_path / "q.emb", q, "query", ids=query_ids)
+        hio.write_embeddings(tmp_path / "g.emb", g, "gallery", ids=gallery_ids)
+        assert main(["retrieve", "--queries", str(tmp_path / "q.emb"),
+                     "--galleries", str(tmp_path / "g.emb"),
+                     "--out", str(tmp_path / "ret")]) == 0
+        ret_dir = next((tmp_path / "ret").glob("retrieve-*"))
+
+        import csv
+        import hublab
+        scores = hublab.cosine_similarity_matrix(
+            hio.read_embedding_set(tmp_path / "q.emb"),
+            hio.read_embedding_set(tmp_path / "g.emb")).scores
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :10]
+        with open(tmp_path / "expected.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["query_id", "rank", "gallery_id", "score"])
+            for i, row in enumerate(top):
+                writer.writerows([query_ids[i], rank, gallery_ids[j], repr(float(scores[i, j]))]
+                                 for rank, j in enumerate(row, 1))
+        expected = (tmp_path / "expected.csv").read_bytes()
+        assert (ret_dir / "ranked.csv").read_bytes() == expected
+        assert expected.count(b'"') > 0 and "漢字".encode() in expected
+
     def test_probe_thresholds(self, tmp_path, capsys, rng):
         texts = random_unit_rows(rng, 6, 8)
         hio.write_embeddings(tmp_path / "t.emb", texts, "query")
