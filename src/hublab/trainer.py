@@ -21,14 +21,16 @@ import numpy as np
 
 from .bank import (
     KIND_CROSS,
+    KIND_INTRA,
     CentralityVector,
     MemoryBank,
     centrality_weights,
-    cross_centrality,
-    intra_centrality,
+    cross_centrality,  # not called here; benchmarks/spans.py wraps it by name
+    intra_centrality,  # not called here; benchmarks/spans.py wraps it by name
     push_batch,
 )
 from .core import (
+    MODALITIES,
     MODALITY_GALLERY,
     MODALITY_QUERY,
     EmbeddingSet,
@@ -36,7 +38,6 @@ from .core import (
     cosine_blocks,
     cosine_similarity_matrix,  # not called here; benchmarks/spans.py wraps it by name
     l2_normalize,
-    opposite,
 )
 from .errors import DivergenceDetected, InvalidFraction, NotConverged
 from .hubness import HubnessReport, RelevanceLabels, hubness_report
@@ -325,17 +326,25 @@ class _BatchTargets:
     plan: TransportPlan | None
 
 
-def _weights_for(bank: MemoryBank, batch: EmbeddingSet, config: TrainConfig):
-    if bank.fill(batch.modality) == 0:
-        return np.ones(batch.n)
-    c = intra_centrality(bank, batch)
-    return centrality_weights(c, config.kappa)
+def _queue_means(bank: MemoryBank) -> dict:
+    """The mean vector of each non-empty bank queue, by modality."""
+    return {m: bank.vectors(m).mean(axis=0) for m in MODALITIES if bank.fill(m)}
 
 
-def _cross_values(bank: MemoryBank, batch: EmbeddingSet) -> np.ndarray:
-    if bank.fill(opposite(batch.modality)) == 0:
-        return np.zeros(batch.n)
-    return cross_centrality(bank, batch).values
+def _queue_centrality(unit_rows: np.ndarray, queue_mean: np.ndarray | None) -> np.ndarray:
+    """Mean cosine of unit rows to a bank queue, read as their cosine with
+    the queue's mean, and 0 against an empty queue (unit WTI weights, scores
+    left as they are).
+
+    By linearity this is ``bank.intra_centrality``/``cross_centrality`` up
+    to rounding, for O(fill·d) work in place of their O(rows·fill·d) gram.
+    Those keep the gram because ``retrieve --mode simi-cent`` writes its bits
+    to ranked.csv, which the benchmark oracle compares exactly; the two forms
+    merge once that oracle follows (ROADMAP item 1).
+    """
+    if queue_mean is None:
+        return np.zeros(unit_rows.shape[0])
+    return np.clip(unit_rows @ queue_mean, -1.0, 1.0)
 
 
 def _candidate_scores(anchors: np.ndarray, scores: np.ndarray,
@@ -365,19 +374,25 @@ def compute_targets(config: TrainConfig, bank: MemoryBank,
                                  config.sinkhorn_max_iter)
         plans = {"q2g": plan, "g2q": replace(plan, q=plan.q.T.copy())}
 
+    means = _queue_means(bank)
     directions = {}
     for name, anchors, cands, dir_scores in (("q2g", batch_q, batch_g, scores),
                                              ("g2q", batch_g, batch_q, scores.T)):
-        weights = _weights_for(bank, anchors, config) if config.use_wti else np.ones(b)
+        # the anchors' queue gives both their intra centrality and the
+        # candidates' cross centrality
+        anchor_mean = means.get(anchors.modality)
+        weights = np.ones(b)
+        if config.use_wti:
+            c = CentralityVector(_queue_centrality(anchors.data, anchor_mean), KIND_INTRA)
+            weights = centrality_weights(c, config.kappa)
         pool = None
         if config.neighbor_pool == POOL_BANK and bank.fill(cands.modality):
             pool = np.asarray(bank.vectors(cands.modality))
         nbi = None
         if config.use_nbi:
-            cross = _cross_values(bank, cands)
+            cross = _queue_centrality(cands.data, anchor_mean)
             if pool is not None:
-                pool_set = EmbeddingSet(pool, cands.modality)
-                cross = np.concatenate([cross, _cross_values(bank, pool_set)])
+                cross = np.concatenate([cross, _queue_centrality(pool, anchor_mean)])
             s = SimilarityMatrix(_candidate_scores(anchors.data, dir_scores, pool),
                                  config.temperature)
             ns = select_neighbors(s, config.k_neighbors)
