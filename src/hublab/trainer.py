@@ -38,6 +38,7 @@ from .core import (
     cosine_blocks,
     cosine_similarity_matrix,  # not called here; benchmarks/spans.py wraps it by name
     l2_normalize,
+    opposite,
 )
 from .errors import DivergenceDetected, InvalidFraction, NotConverged
 from .hubness import HubnessReport, RelevanceLabels, hubness_report
@@ -347,21 +348,34 @@ def _queue_centrality(unit_rows: np.ndarray, queue_mean: np.ndarray | None) -> n
     return np.clip(unit_rows @ queue_mean, -1.0, 1.0)
 
 
-def _candidate_scores(anchors: np.ndarray, scores: np.ndarray,
-                      pool: np.ndarray | None) -> np.ndarray:
+@dataclass
+class _StepGrids:
+    """One step's scores, each built once from its embeddings.
+
+    ``scores`` is the batch grid eq @ eg.T. ``candidates`` maps each
+    direction to its candidate grid, the batch columns and then any
+    bank-pool columns, while NBI is on; ``batch_loss`` drops a direction's
+    grid from it once that direction's loss is taken.
+    """
+
+    scores: np.ndarray
+    candidates: dict  # "q2g" / "g2q" -> SimilarityMatrix
+
+
+def _candidate_grid(config: TrainConfig, anchors: np.ndarray, scores: np.ndarray,
+                    pool: np.ndarray | None) -> SimilarityMatrix:
     """Batch scores of one direction, widened by the bank-pool columns."""
-    if pool is None:
-        return scores
-    return np.concatenate([scores, anchors @ pool.T], axis=1)
+    if pool is not None:
+        scores = np.concatenate([scores, anchors @ pool.T], axis=1)
+    return SimilarityMatrix(scores, config.temperature)
 
 
-def compute_targets(config: TrainConfig, bank: MemoryBank,
-                    eq: np.ndarray, eg: np.ndarray) -> _BatchTargets:
-    """All per-step constants: weights, neighbor targets, transport targets."""
+def compute_targets(config: TrainConfig, bank: MemoryBank, eq: np.ndarray,
+                    eg: np.ndarray) -> tuple[_BatchTargets, _StepGrids]:
+    """All per-step constants (weights, neighbor targets, transport targets)
+    and the step's grids, which ``batch_loss`` takes over the same eq, eg."""
     b = eq.shape[0]
-    batch_q = EmbeddingSet(eq, MODALITY_QUERY)
-    batch_g = EmbeddingSet(eg, MODALITY_GALLERY)
-    scores = eq @ eg.T
+    grids = _StepGrids(eq @ eg.T, {})
 
     plan = None
     if config.use_opt:
@@ -369,53 +383,61 @@ def compute_targets(config: TrainConfig, bank: MemoryBank,
         # the per-batch RuntimeWarning is consumed here instead of emitted
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            plan = sinkhorn_plan(SimilarityMatrix(scores, config.temperature),
+            plan = sinkhorn_plan(SimilarityMatrix(grids.scores, config.temperature),
                                  config.epsilon_sinkhorn, config.sinkhorn_tol,
                                  config.sinkhorn_max_iter)
         plans = {"q2g": plan, "g2q": replace(plan, q=plan.q.T.copy())}
 
     means = _queue_means(bank)
     directions = {}
-    for name, anchors, cands, dir_scores in (("q2g", batch_q, batch_g, scores),
-                                             ("g2q", batch_g, batch_q, scores.T)):
+    for name, anchors, modality, cands, dir_scores in (
+            ("q2g", eq, MODALITY_QUERY, eg, grids.scores),
+            ("g2q", eg, MODALITY_GALLERY, eq, grids.scores.T)):
         # the anchors' queue gives both their intra centrality and the
         # candidates' cross centrality
-        anchor_mean = means.get(anchors.modality)
+        anchor_mean = means.get(modality)
         weights = np.ones(b)
         if config.use_wti:
-            c = CentralityVector(_queue_centrality(anchors.data, anchor_mean), KIND_INTRA)
+            c = CentralityVector(_queue_centrality(anchors, anchor_mean), KIND_INTRA)
             weights = centrality_weights(c, config.kappa)
         pool = None
-        if config.neighbor_pool == POOL_BANK and bank.fill(cands.modality):
-            pool = np.asarray(bank.vectors(cands.modality))
+        if config.neighbor_pool == POOL_BANK and bank.fill(opposite(modality)):
+            pool = np.asarray(bank.vectors(opposite(modality)))
         nbi = None
         if config.use_nbi:
-            cross = _queue_centrality(cands.data, anchor_mean)
+            cross = _queue_centrality(cands, anchor_mean)
             if pool is not None:
                 cross = np.concatenate([cross, _queue_centrality(pool, anchor_mean)])
-            s = SimilarityMatrix(_candidate_scores(anchors.data, dir_scores, pool),
-                                 config.temperature)
+            s = grids.candidates[name] = _candidate_grid(config, anchors, dir_scores, pool)
             ns = select_neighbors(s, config.k_neighbors)
-            s_tilde = decentral_similarity(s, CentralityVector(cross, KIND_CROSS))
-            nbi = ns, neighbor_targets(s_tilde, ns)
+            # the de-centrality grid lives only while its targets are read
+            shift = CentralityVector(cross, KIND_CROSS)
+            nbi = ns, neighbor_targets(decentral_similarity(s, shift), ns)
         opt = blend_targets(plans[name], config.beta) if config.use_opt else None
         directions[name] = _Direction(weights, pool, nbi, opt)
-    return _BatchTargets(directions, plan)
+    return _BatchTargets(directions, plan), grids
 
 
 def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
-               targets: _BatchTargets):
+               targets: _BatchTargets, grids: _StepGrids | None = None):
     """Assemble the half-sum objective over both directions.
+
+    ``grids`` are the ones ``compute_targets`` built from these same eq and
+    eg; each direction's candidate grid is dropped from it once its loss is
+    taken. Without them the grids are built here, as ``grad_check`` needs
+    for perturbed embeddings.
 
     Returns (value, per-part values, dL/dS over the batch grid, and the
     extra embedding gradients contributed by bank-pool neighbor columns).
     """
+    if grids is None:
+        grids = _StepGrids(eq @ eg.T, {})
     b = eq.shape[0]
-    scores = eq @ eg.T
     zero = LossBundle(0.0, np.zeros((b, b)))  # every switched-off part
     parts = {}
     ext = {}
-    for name, anchors, dir_scores in (("q2g", eq, scores), ("g2q", eg, scores.T)):
+    for name, anchors, dir_scores in (("q2g", eq, grids.scores),
+                                      ("g2q", eg, grids.scores.T)):
         target = targets.directions[name]
         s = SimilarityMatrix(dir_scores, config.temperature)
         part = parts[name] = dict.fromkeys(LOSS_PARTS, zero)
@@ -424,9 +446,10 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
             part["wti"] = loss_wti(s, target.weights)
         if config.use_nbi:
             ns, h = target.nbi
-            cand_scores = _candidate_scores(anchors, dir_scores, target.pool)
-            nbi = loss_nbi(SimilarityMatrix(cand_scores, config.temperature), h, ns,
-                           config.grad_mode)
+            cand = grids.candidates.pop(name, None)
+            if cand is None:
+                cand = _candidate_grid(config, anchors, dir_scores, target.pool)
+            nbi = loss_nbi(cand, h, ns, config.grad_mode)
             # the batch columns come first, then any bank-pool columns
             part["nbi"] = LossBundle(nbi.value, nbi.grad[:, :b])
             if target.pool is not None:
@@ -462,9 +485,9 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
                 if idx.size < 2:
                     continue
                 eq, eg, norms = model.forward(idx)
-                targets = compute_targets(config, bank, eq, eg)
+                targets, grids = compute_targets(config, bank, eq, eg)
                 value, part_values, grad_s, ext_q, ext_g = batch_loss(
-                    config, eq, eg, targets)
+                    config, eq, eg, targets, grids)
                 if not frozen:
                     grads = model.backward(idx, eq, eg, norms, grad_s, ext_q, ext_g)
                     adam.step(model.params, grads)
@@ -542,7 +565,7 @@ def grad_check(config: TrainConfig, data: PairedData, h: float = 1e-5) -> dict:
     # targets for every term, so single-loss configs below can reuse them
     toggles = [f"use_{part}" for part in LOSS_PARTS]
     all_on = replace(config, **dict.fromkeys(toggles, True))
-    base_targets = compute_targets(all_on, bank, eq0, eg0)
+    base_targets, _ = compute_targets(all_on, bank, eq0, eg0)
 
     def loss_value(cfg) -> float:
         eq, eg, _ = model.forward(idx)
