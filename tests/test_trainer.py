@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
+import hublab.trainer as tr
 from hublab import (
+    EmbeddingSet,
     MemoryBank,
     PairedData,
+    SimilarityMatrix,
     TrainConfig,
+    centrality_weights,
     cosine_similarity_matrix,
     cross_centrality,
     grad_check,
+    intra_centrality,
     push_batch,
     synth_generate,
     train,
 )
 from hublab.errors import DivergenceDetected, InvalidFraction, NonFiniteLoss
+from hublab.losses import decentral_similarity, neighbor_targets
 from hublab.trainer import Adam
 
 
@@ -217,6 +223,113 @@ class TestTraining:
     def test_bank_pool_trains(self, tiny_data):
         result = train(small_config(neighbor_pool="bank", epochs=1), tiny_data)
         assert np.isfinite([row["total"] for row in result.loss_curve]).all()
+
+
+def shared_direction_rows(rng, n, d):
+    """Unit rows around one shared direction, so centralities sit near 0.5."""
+    x = rng.normal(size=(n, d)) + np.ones(d)
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+class TestQueueMeanCentrality:
+    """The trainer reads centrality as the cosine with each queue's mean;
+    the bank's row-blocked gram is the reference."""
+
+    @pytest.fixture
+    def full_bank(self, rng):
+        # 9 pushes of 128 rows into 1024 slots: both queues fill and evict
+        bank = MemoryBank(1024, 64)
+        for _ in range(9):
+            for modality in ("query", "gallery"):
+                push_batch(bank, EmbeddingSet(shared_direction_rows(rng, 128, 64), modality))
+        return bank
+
+    @pytest.mark.parametrize("anchor, cand", [("query", "gallery"), ("gallery", "query")])
+    def test_batch_and_full_pool_match_the_gram(self, full_bank, rng, anchor, cand):
+        mean = tr._queue_means(full_bank)[anchor]
+        batch = shared_direction_rows(rng, 128, 64)
+        pool = full_bank.vectors(cand)
+        assert pool.shape == (1024, 64)
+        intra = intra_centrality(full_bank, EmbeddingSet(batch, anchor)).values
+        assert intra.min() > 0.3
+        np.testing.assert_allclose(tr._queue_centrality(batch, mean), intra,
+                                   rtol=0, atol=1e-12)
+        # candidates, from the batch and from the whole pool, against the anchors' queue
+        for rows in (batch, pool):
+            cross = cross_centrality(full_bank, EmbeddingSet(rows, cand)).values
+            np.testing.assert_allclose(tr._queue_centrality(rows, mean), cross,
+                                       rtol=0, atol=1e-12)
+
+    def test_step_targets_match_the_gram(self, full_bank, rng):
+        config = TrainConfig(k_neighbors=5, use_opt=False, neighbor_pool="bank",
+                             bank_capacity=1024)
+        eq = shared_direction_rows(rng, 128, 64)
+        eg = shared_direction_rows(rng, 128, 64)
+        targets, _ = tr.compute_targets(config, full_bank, eq, eg)
+        for name, anchors, anchor, cands, cand in (("q2g", eq, "query", eg, "gallery"),
+                                                   ("g2q", eg, "gallery", eq, "query")):
+            direction = targets.directions[name]
+            c = intra_centrality(full_bank, EmbeddingSet(anchors, anchor))
+            np.testing.assert_allclose(direction.weights,
+                                       centrality_weights(c, config.kappa), rtol=1e-12)
+            rows = np.concatenate([cands, full_bank.vectors(cand)])
+            cross = cross_centrality(full_bank, EmbeddingSet(rows, cand))
+            s_tilde = decentral_similarity(SimilarityMatrix(anchors @ rows.T), cross)
+            ns, h = direction.nbi
+            np.testing.assert_allclose(h, neighbor_targets(s_tilde, ns), rtol=1e-12)
+
+    def test_empty_queue_gives_unit_weights_and_no_shift(self, rng):
+        # only the query queue holds rows, so gallery anchors (g2q) see an
+        # empty queue: unit weights, and query candidates keep their scores
+        bank = MemoryBank(64, 16)
+        push_batch(bank, EmbeddingSet(shared_direction_rows(rng, 32, 16), "query"))
+        config = TrainConfig(k_neighbors=3, use_opt=False, neighbor_pool="bank",
+                             batch_size=8)
+        eq = shared_direction_rows(rng, 8, 16)
+        eg = shared_direction_rows(rng, 8, 16)
+        targets, _ = tr.compute_targets(config, bank, eq, eg)
+        g2q = targets.directions["g2q"]
+        np.testing.assert_array_equal(g2q.weights, np.ones(8))
+        s = SimilarityMatrix(eg @ np.concatenate([eq, bank.vectors("query")]).T)
+        ns, h = g2q.nbi
+        np.testing.assert_allclose(h, neighbor_targets(s, ns), rtol=1e-12)
+        assert targets.directions["g2q"].pool.shape == (32, 16)
+        assert targets.directions["q2g"].pool is None
+
+
+class TestStepGrids:
+    def test_bank_pool_builds_one_candidate_grid_per_direction_per_step(
+            self, tiny_data, monkeypatch):
+        widths = []
+        real = tr._candidate_grid
+
+        def counted(*args):
+            grid = real(*args)
+            widths.append(grid.m)
+            return grid
+
+        monkeypatch.setattr(tr, "_candidate_grid", counted)
+        result = train(small_config(neighbor_pool="bank"), tiny_data)
+        # 16 pairs in batches of 8 for 2 epochs: 4 steps, and before step k
+        # each queue holds 8k rows, which widen both directions' grids
+        assert len(result.loss_curve) == 4
+        assert widths == [8 + 8 * (i // 2) for i in range(8)]
+
+    def test_shared_grids_give_the_loss_of_fresh_ones(self, tiny_data):
+        config = small_config(neighbor_pool="bank")
+        bank = MemoryBank(config.bank_capacity, 6)
+        rows = tiny_data.queries.data[:8], tiny_data.galleries.data[8:]
+        for data, modality in zip(rows, ("query", "gallery")):
+            push_batch(bank, EmbeddingSet(data, modality))
+        eq, eg = tiny_data.queries.data[8:], tiny_data.galleries.data[:8]
+        targets, grids = tr.compute_targets(config, bank, eq, eg)
+        assert sorted(grids.candidates) == ["g2q", "q2g"]
+        shared = tr.batch_loss(config, eq, eg, targets, grids)
+        assert grids.candidates == {}  # each grid dropped once its loss was taken
+        fresh = tr.batch_loss(config, eq, eg, targets)
+        assert shared[:2] == fresh[:2]
+        for a, b in zip(shared[2:], fresh[2:]):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestAdam:
