@@ -210,9 +210,3 @@ def row_log_softmax(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
-
-def scaled_exp_softmax_row(s: SimilarityMatrix, row: int) -> np.ndarray:
-    """Probability vector exp(S[row]/tau) / sum_k exp(S[row,k]/tau)."""
-    if not 0 <= row < s.n:
-        raise IndexError(f"row {row} out of range for {s.n} rows")
-    return row_softmax(s.scores[row], s.temperature)

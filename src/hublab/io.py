@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bank import MemoryBank, push_batch
 from .core import MODALITY_GALLERY, MODALITY_QUERY, EmbeddingSet
 from .errors import FormatError
 
@@ -121,34 +120,3 @@ def read_embedding_set(path) -> EmbeddingSet:
 def write_embedding_set(path, e: EmbeddingSet) -> Path:
     return write_embeddings(path, e.data, e.modality, e.ids, e.labels)
 
-
-def save_memory_bank(stem, bank: MemoryBank) -> list[Path]:
-    """Checkpoint both bank queues as <stem>.<modality>.emb files."""
-    stem = Path(stem)
-    written = []
-    for modality in (MODALITY_QUERY, MODALITY_GALLERY):
-        path = stem.with_name(f"{stem.name}.{modality}.emb")
-        written.append(write_embeddings(path, bank.vectors(modality), modality))
-    return written
-
-
-def load_memory_bank(stem, capacity: int) -> MemoryBank:
-    """Rebuild a bank from its two checkpoint files, preserving FIFO order."""
-    stem = Path(stem)
-    dims = []
-    arrays = {}
-    for modality in (MODALITY_QUERY, MODALITY_GALLERY):
-        path = stem.with_name(f"{stem.name}.{modality}.emb")
-        data, file_modality, _ = read_embeddings(path)
-        if file_modality != modality:
-            raise FormatError(f"{path}: modality tag {file_modality!r} unexpected")
-        arrays[modality] = data
-        if data.shape[0]:
-            dims.append(data.shape[1])
-    if not dims:
-        raise FormatError(f"{stem}: both bank checkpoints are empty")
-    bank = MemoryBank(capacity, dims[0])
-    for modality, data in arrays.items():
-        if data.shape[0]:
-            push_batch(bank, EmbeddingSet(data, modality))
-    return bank

@@ -8,8 +8,8 @@ from hublab import (
     SimilarityMatrix,
     cosine_similarity_matrix,
     l2_normalize,
-    scaled_exp_softmax_row,
 )
+from hublab.core import row_softmax
 from hublab.errors import DimensionMismatch, ZeroVector
 
 from conftest import random_unit_rows
@@ -88,41 +88,30 @@ class TestCosineSimilarity:
 
 class TestSoftmaxRow:
     def test_uniform_row(self):
-        s = SimilarityMatrix(np.full((2, 4), 0.7))
-        np.testing.assert_allclose(scaled_exp_softmax_row(s, 0), [0.25] * 4, atol=1e-15)
+        np.testing.assert_allclose(row_softmax(np.full((2, 4), 0.7)),
+                                   np.full((2, 4), 0.25), atol=1e-15)
 
     def test_two_entry_closed_form(self):
-        s = SimilarityMatrix([[1.0, 0.0]])
         e = np.e
         np.testing.assert_allclose(
-            scaled_exp_softmax_row(s, 0), [e / (e + 1), 1 / (e + 1)], atol=1e-15)
+            row_softmax(np.array([[1.0, 0.0]])), [[e / (e + 1), 1 / (e + 1)]], atol=1e-15)
 
     def test_shift_invariance_large_offset(self, rng):
         row = rng.normal(size=(1, 6))
-        a = scaled_exp_softmax_row(SimilarityMatrix(row), 0)
-        b = scaled_exp_softmax_row(SimilarityMatrix(row + 1000.0), 0)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        np.testing.assert_allclose(row_softmax(row), row_softmax(row + 1000.0), atol=1e-12)
 
     def test_temperature_scaling(self):
-        s = SimilarityMatrix([[2.0, 0.0]], temperature=2.0)
-        t = SimilarityMatrix([[1.0, 0.0]], temperature=1.0)
-        np.testing.assert_allclose(
-            scaled_exp_softmax_row(s, 0), scaled_exp_softmax_row(t, 0), atol=1e-15)
+        np.testing.assert_allclose(row_softmax(np.array([[2.0, 0.0]]), temperature=2.0),
+                                   row_softmax(np.array([[1.0, 0.0]])), atol=1e-15)
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8),
            st.floats(-30, 30))
     @settings(max_examples=50, deadline=None)
     def test_rows_sum_to_one_and_shift_invariant(self, row, shift):
-        base = scaled_exp_softmax_row(SimilarityMatrix([row]), 0)
+        base = row_softmax(np.array([row]))
         assert abs(base.sum() - 1.0) < 1e-12
-        shifted = scaled_exp_softmax_row(
-            SimilarityMatrix([[v + shift for v in row]]), 0)
+        shifted = row_softmax(np.array([[v + shift for v in row]]))
         np.testing.assert_allclose(base, shifted, atol=1e-12)
-
-    def test_out_of_range_row(self):
-        s = SimilarityMatrix(np.zeros((2, 2)))
-        with pytest.raises(IndexError):
-            scaled_exp_softmax_row(s, 2)
 
 
 class TestValidation:

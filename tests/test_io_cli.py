@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hublab import EmbeddingSet, MemoryBank, push_batch
+from hublab import EmbeddingSet
 from hublab import io as hio
 from hublab.cli import build_parser, main
 from hublab.config import DEFAULTS, config_digest, resolve_config
@@ -78,18 +78,6 @@ class TestEmbeddingFile:
         clipped.write_bytes(good.read_bytes()[:-4])
         with pytest.raises(FormatError):
             hio.read_embeddings(clipped)
-
-    def test_bank_checkpoint_round_trip(self, tmp_path, rng):
-        bank = MemoryBank(8, 4)
-        push_batch(bank, EmbeddingSet(random_unit_rows(rng, 5, 4), "query"))
-        push_batch(bank, EmbeddingSet(random_unit_rows(rng, 3, 4), "gallery"))
-        hio.save_memory_bank(tmp_path / "ckpt", bank)
-        back = hio.load_memory_bank(tmp_path / "ckpt", capacity=8)
-        # order preserved up to the float32 file truncation
-        np.testing.assert_allclose(back.vectors("query"),
-                                   bank.vectors("query"), atol=1e-6)
-        np.testing.assert_allclose(back.vectors("gallery"),
-                                   bank.vectors("gallery"), atol=1e-6)
 
 
 class TestConfig:
