@@ -293,7 +293,7 @@ class TestQueueMeanCentrality:
         s = SimilarityMatrix(eg @ np.concatenate([eq, bank.vectors("query")]).T)
         ns, h = g2q.nbi
         np.testing.assert_allclose(h, neighbor_targets(s, ns), rtol=1e-12)
-        assert targets.directions["g2q"].pool.shape == (32, 16)
+        assert g2q.pool.shape == (32, 16)
         assert targets.directions["q2g"].pool is None
 
 
