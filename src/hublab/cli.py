@@ -82,6 +82,10 @@ def _load_labels(path, shape) -> RelevanceLabels:
     if pairs is None:
         raise ConfigError(f"{path}: expected a 'pairs' list")
     source = doc.get("source", "ground-truth") if isinstance(doc, dict) else "ground-truth"
+    # type() and not isinstance(): NumPy would read true among integers as 1
+    if isinstance(pairs, list) and any(type(v) is not int for pair in pairs
+                                       if isinstance(pair, list) for v in pair):
+        raise ConfigError(f"{path}: bad label pairs: indices must be integers")
     try:
         return RelevanceLabels.from_pairs(pairs, shape, source)
     except (IndexError, TypeError, ValueError) as exc:
@@ -184,7 +188,7 @@ def cmd_retrieve(resolved: dict, out_root) -> Path:
     def keep_top(block, top):
         top = top[:, :RANKED_TOP]
         tops.append(top)
-        top_scores.append(np.take_along_axis(block.scores, top, axis=1))
+        top_scores.append(np.take_along_axis(block, top, axis=1))
 
     scores = retrieval_eval(s, labels, keep_top)
     out = _artifact_dir(out_root, "retrieve", resolved)

@@ -107,8 +107,8 @@ class SimilarityMatrix:
         return self.scores.shape[1]
 
     def blocks(self):
-        """The grid as a single (rows, block) pair, like ``CosineBlocks.blocks``."""
-        return [(slice(0, self.n), self)]
+        """The grid as a single (rows, scores) pair, like ``CosineBlocks.blocks``."""
+        return [(slice(0, self.n), self.scores)]
 
     def minus_columns(self, values: np.ndarray) -> "SimilarityMatrix":
         """Scores with values[j] subtracted from every entry of column j."""
@@ -120,13 +120,18 @@ class CosineBlocks:
     """Cosine scores of unit query rows against unit gallery rows, made one
     ``row_blocks`` block at a time, so the n x m grid is never held whole.
 
-    ``blocks`` yields ``(rows, SimilarityMatrix)`` pairs; each block's scores
-    are ``queries[rows] @ galleries.T`` minus every column offset in turn.
+    ``blocks`` yields ``(rows, scores)`` pairs; each block's scores are
+    ``queries[rows] @ galleries.T`` minus every column offset in turn. Both
+    row arrays are checked finite here, so no block needs checking.
     """
 
     queries: np.ndarray
     galleries: np.ndarray
     column_offsets: tuple = ()
+
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.queries)) and np.all(np.isfinite(self.galleries))):
+            raise ValueError("cosine rows contain non-finite entries")
 
     @property
     def n(self) -> int:
@@ -137,7 +142,7 @@ class CosineBlocks:
         return self.galleries.shape[0]
 
     def blocks(self):
-        """Yield each block's ``(rows, SimilarityMatrix)`` in row order.
+        """Yield each block's ``(rows, scores)`` in row order.
 
         Every block is written into one buffer of the largest block's size,
         so a block is valid only until the next one is requested: read it,
@@ -152,7 +157,7 @@ class CosineBlocks:
                                out=buffer[:rows.stop - rows.start])
             for values in self.column_offsets:
                 scores -= values
-            yield rows, SimilarityMatrix(scores)
+            yield rows, scores
 
     def minus_columns(self, values: np.ndarray) -> "CosineBlocks":
         """Blocks with values[j] subtracted from every entry of column j."""
@@ -190,11 +195,10 @@ def cosine_blocks(q: EmbeddingSet, g: EmbeddingSet) -> CosineBlocks:
     return CosineBlocks(l2_normalize(q).data, l2_normalize(g).data)
 
 
-def cosine_similarity_matrix(q: EmbeddingSet, g: EmbeddingSet,
-                             temperature: float = 1.0) -> SimilarityMatrix:
+def cosine_similarity_matrix(q: EmbeddingSet, g: EmbeddingSet) -> SimilarityMatrix:
     """The whole grid of ``cosine_blocks(q, g)`` as one matrix."""
     unit = cosine_blocks(q, g)
-    return SimilarityMatrix(unit.queries @ unit.galleries.T, temperature)
+    return SimilarityMatrix(unit.queries @ unit.galleries.T)
 
 
 def row_softmax(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:

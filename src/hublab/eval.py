@@ -50,10 +50,10 @@ def retrieval_eval(s: SimilarityMatrix | CosineBlocks, labels: RelevanceLabels,
     mAP@R and R-Precision are computed per query over its own number of
     relevant items R, then averaged. Each query row is scored inside its
     block from one ``top_k_indices`` call that keeps the largest R or
-    ``max(RECALL_KS)`` columns, whichever is more; ``each_block(block,
-    top)``, when given, is called with every block and those columns in row
-    order after the block has been scored, so the caller can read both
-    while they are in memory.
+    ``max(RECALL_KS)`` columns, whichever is more; ``each_block(scores,
+    top)``, when given, is called with every block's scores and those
+    columns in row order after the block has been scored, so the caller can
+    read both while they are in memory.
     """
     if labels.shape != (s.n, s.m):
         raise ShapeMismatch(f"labels cover {labels.shape}, scores are {(s.n, s.m)}")
@@ -64,11 +64,11 @@ def retrieval_eval(s: SimilarityMatrix | CosineBlocks, labels: RelevanceLabels,
     depth = int(r.max())
     width = min(max(depth, max(RECALL_KS)), s.m)
     parts = []
-    for rows, block in s.blocks():
-        top = top_k_indices(block.scores, width)
-        parts.append(_score_rows(block.scores, top, labels, rows, depth))
+    for rows, scores in s.blocks():
+        top = top_k_indices(scores, width)
+        parts.append(_score_rows(scores, top, labels, rows, depth))
         if each_block is not None:
-            each_block(block, top)
+            each_block(scores, top)
     best_rank, average_precision, r_precision = map(np.concatenate, zip(*parts))
     r_at = {k: float(100.0 * (best_rank <= k).mean()) for k in RECALL_KS}
     return RetrievalScores(

@@ -71,8 +71,8 @@ class RelevanceLabels:
             raise ValueError(f"unknown label source {self.source!r}")
 
     @classmethod
-    def diagonal(cls, n: int, source: str = "ground-truth") -> "RelevanceLabels":
-        return cls(np.arange(n + 1), np.arange(n), (n, n), source)
+    def diagonal(cls, n: int) -> "RelevanceLabels":
+        return cls(np.arange(n + 1), np.arange(n), (n, n))
 
     @classmethod
     def _from_keys(cls, keys: np.ndarray, shape, source: str) -> "RelevanceLabels":
@@ -89,8 +89,8 @@ class RelevanceLabels:
             pairs = np.zeros((0, 2), dtype=np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"expected a list of [i, j] pairs, got shape {pairs.shape}")
-        if pairs.dtype.kind not in "iub":
-            # a float index would be truncated to a valid-looking row
+        if pairs.dtype.kind not in "iu":
+            # a float or bool index would be read as a valid-looking row
             raise TypeError(f"pair indices must be integers, got {pairs.dtype} values")
         i, j = pairs.astype(np.int64).T
         # a negative index would silently wrap around
@@ -180,21 +180,13 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Row-wise top-k column indices by descending score, ties to lower index,
     equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``.
 
-    ``np.argpartition`` finds each row's k best columns (``argmax`` its best
-    one when k = 1), which get a stable sort in column order. A row whose
-    k-th score also appears outside them, and every row when k is outside
-    (0, m), is sorted in full.
+    ``np.argpartition`` finds each row's k best columns, which get a stable
+    sort in column order. A row whose k-th score also appears outside them,
+    and every row when k is outside (0, m), is sorted in full.
     """
     m = scores.shape[1]
     if not 0 < k < m:
         return np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    if k == 1:
-        # argmax keeps the first maximum; a row where it picked NaN, which
-        # the stable sort puts last, is sorted in full
-        top = scores.argmax(axis=1)[:, None]
-        nan = np.flatnonzero(np.isnan(np.take_along_axis(scores, top, axis=1)))
-        top[nan] = np.argsort(-scores[nan], axis=1, kind="stable")[:, :1]
-        return top
     kept = np.sort(np.argpartition(scores, m - k, axis=1)[:, m - k:], axis=1)
     kept_scores = np.take_along_axis(scores, kept, axis=1)
     top = np.take_along_axis(kept, np.argsort(-kept_scores, axis=1, kind="stable"),
@@ -217,7 +209,7 @@ def k_occurrence(s: SimilarityMatrix | CosineBlocks, k: int) -> KOccurrence:
         raise KTooLarge(f"k={k} exceeds gallery size {s.m}")
     counts = np.zeros(s.m, dtype=np.int64)
     for _, block in s.blocks():
-        counts += np.bincount(top_k_indices(block.scores, k).ravel(), minlength=s.m)
+        counts += np.bincount(top_k_indices(block, k).ravel(), minlength=s.m)
     return KOccurrence(counts, k, s.n)
 
 

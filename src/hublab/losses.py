@@ -186,14 +186,11 @@ def loss_nbi(s: SimilarityMatrix, h: np.ndarray, ns: NeighborSet,
     return LossBundle(float(per_sample.mean()), grad, per_sample)
 
 
-def loss_kl(low: SimilarityMatrix, high: SimilarityMatrix,
-            symmetric: bool = False) -> LossBundle:
+def loss_kl(low: SimilarityMatrix, high: SimilarityMatrix) -> LossBundle:
     """Mean row-wise KL(softmax(high) || softmax(low)) with both gradients.
 
     The high-level distribution is the reference; ``grad`` is with respect
     to the low-level scores and ``grad_high`` to the high-level scores.
-    With ``symmetric`` the average of both KL directions is returned
-    instead (off by default).
     """
     if low.scores.shape != high.scores.shape:
         raise ShapeMismatch(
@@ -207,15 +204,7 @@ def loss_kl(low: SimilarityMatrix, high: SimilarityMatrix,
     grad_low = (np.exp(logq) - p) / (n * low.temperature)
     # d/d high of sum p (log p - log q): p_j ((log p - log q)_j - KL_row)
     grad_high = p * ((logp - logq) - per_sample[:, None]) / (n * high.temperature)
-    if not symmetric:
-        return LossBundle(float(value), grad_low, per_sample, grad_high=grad_high)
-    reverse = loss_kl(high, low)
-    return LossBundle(
-        0.5 * (value + reverse.value),
-        0.5 * (grad_low + reverse.grad_high),
-        0.5 * (per_sample + reverse.per_sample),
-        grad_high=0.5 * (grad_high + reverse.grad),
-    )
+    return LossBundle(float(value), grad_low, per_sample, grad_high=grad_high)
 
 
 def total_loss(parts: dict[str, dict[str, LossBundle]]) -> LossBundle:

@@ -55,7 +55,7 @@ from .losses import (
     select_neighbors,
     total_loss,
 )
-from .transport import BlendedTarget, TransportPlan, blend_targets, loss_opt, sinkhorn_plan
+from .transport import TransportPlan, blend_targets, loss_opt, sinkhorn_plan
 
 MODEL_TABLE = "embedding-table"
 MODEL_PROJECTION = "linear-projection"
@@ -285,11 +285,12 @@ def _build_model(config: TrainConfig, queries, galleries):
 class Adam:
     """Plain Adam over a list of parameter arrays."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -297,13 +298,18 @@ class Adam:
     def step(self, params, grads):
         self.t += 1
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            # g * g overflows long before g does, and an infinite moment
+            # would turn every later update of its entries into 0
+            with np.errstate(over="ignore"):
+                v += (1 - self.BETA2) * g * g
+            if not np.all(np.isfinite(v)):
+                raise DivergenceDetected("Adam second moment overflowed")
+            m_hat = m / (1 - self.BETA1 ** self.t)
+            v_hat = v / (1 - self.BETA2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass
@@ -316,7 +322,7 @@ class _Direction:
     weights: np.ndarray
     pool: np.ndarray | None
     nbi: tuple | None
-    opt: BlendedTarget | None
+    opt: np.ndarray | None
 
 
 @dataclass
@@ -386,7 +392,8 @@ def compute_targets(config: TrainConfig, bank: MemoryBank, eq: np.ndarray,
             plan = sinkhorn_plan(SimilarityMatrix(grids.scores, config.temperature),
                                  config.epsilon_sinkhorn, config.sinkhorn_tol,
                                  config.sinkhorn_max_iter)
-        plans = {"q2g": plan, "g2q": replace(plan, q=plan.q.T.copy())}
+        # a contiguous copy, so the g2q row sums keep their bits
+        plans = {"q2g": plan.q, "g2q": plan.q.T.copy()}
 
     means = _queue_means(bank)
     directions = {}

@@ -40,26 +40,6 @@ class TransportPlan:
     warning: bool = False
     newton_steps: int = 0
 
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.q.shape[1]
-
-
-@dataclass
-class BlendedTarget:
-    """Row-stochastic blend of the identity with the rescaled plan."""
-
-    q_blend: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-
 
 # Widest range max(S/eps) - min(S/eps) that needs no absorption. The kernel
 # then spans at most exp(-350), and the scalings u and v can each drift by
@@ -195,37 +175,35 @@ def sinkhorn_plan(s: SimilarityMatrix, epsilon: float,
                          residual, history, warn, newton_steps)
 
 
-def blend_targets(plan: TransportPlan, beta: float) -> BlendedTarget:
-    """Mix the identity with the row-stochastic rescaled plan.
+def blend_targets(q: np.ndarray, beta: float) -> np.ndarray:
+    """Mix the identity with the row-stochastic rescaled plan matrix q.
 
     The plan's rows sum to 1/B; multiplying by B (and dividing out the
-    residual row error) makes it row-stochastic, after which
-    q_blend = (1 - beta) I + beta (B Q).
+    residual row error) makes it row-stochastic, after which the blend is
+    (1 - beta) I + beta (B Q), whose rows sum to 1.
     """
-    if plan.n != plan.m:
-        raise NonSquarePlan(f"blending needs a square plan, got {plan.n}x{plan.m}")
+    b, m = q.shape
+    if b != m:
+        raise NonSquarePlan(f"blending needs a square plan, got {b}x{m}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    b = plan.n
-    scaled = plan.q * b
+    scaled = q * b
     scaled = scaled / scaled.sum(axis=1, keepdims=True)
-    q_blend = (1.0 - beta) * np.eye(b) + beta * scaled
-    return BlendedTarget(q_blend, beta)
+    return (1.0 - beta) * np.eye(b) + beta * scaled
 
 
-def loss_opt(s: SimilarityMatrix, target: BlendedTarget) -> LossBundle:
+def loss_opt(s: SimilarityMatrix, q: np.ndarray) -> LossBundle:
     """Uniformity regularization: cross-entropy of row softmax against the
-    blended transport target.
+    row-stochastic target q, such as ``blend_targets`` returns.
 
     value = -(1/n) sum_ij q_ij log P(j|i)
     grad  = -(1/(n tau)) (q_ij - P(j|i))   (rows of q sum to 1)
     """
-    if target.q_blend.shape != s.scores.shape:
-        raise ShapeMismatch(
-            f"target {target.q_blend.shape} does not match scores {s.scores.shape}")
+    if q.shape != s.scores.shape:
+        raise ShapeMismatch(f"target {q.shape} does not match scores {s.scores.shape}")
     n = s.n
     logp = row_log_softmax(s.scores, s.temperature)
-    per_sample = -(target.q_blend * logp).sum(axis=1)
+    per_sample = -(q * logp).sum(axis=1)
     value = per_sample.mean()
-    grad = -(target.q_blend - np.exp(logp)) / (n * s.temperature)
+    grad = -(q - np.exp(logp)) / (n * s.temperature)
     return LossBundle(float(value), grad, per_sample)

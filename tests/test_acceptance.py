@@ -42,7 +42,6 @@ from hublab.cli import main as cli_main
 from hublab.core import row_softmax
 from hublab.losses import GRAD_MODE_PAPER
 from hublab.tokens import cluster_assignments
-from hublab.transport import BlendedTarget
 
 from conftest import fd_grad, max_rel_error, random_unit_rows
 
@@ -90,7 +89,7 @@ class TestCriterion1GradientFidelity:
         worst["nbi"] = max_rel_error(out.grad, fd)
 
         raw = rng.uniform(0.1, 1.0, size=(8, 8))
-        target = BlendedTarget(raw / raw.sum(axis=1, keepdims=True), 0.5)
+        target = raw / raw.sum(axis=1, keepdims=True)
         out = loss_opt(SimilarityMatrix(scores), target)
         fd = fd_grad(lambda x: loss_opt(SimilarityMatrix(x), target).value, scores)
         worst["opt"] = max_rel_error(out.grad, fd)
@@ -164,7 +163,7 @@ class TestCriterion4UniformityFixedPoint:
         rng = np.random.default_rng(11)
         n, m = 16, 8
         scores = rng.normal(size=(n, m))
-        target = BlendedTarget(np.full((n, m), 1.0 / m), 1.0)
+        target = np.full((n, m), 1.0 / m)
         steps_taken = 2000
         for step in range(2000):
             bundle = loss_opt(SimilarityMatrix(scores), target)

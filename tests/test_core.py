@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hublab import (
+    CosineBlocks,
     EmbeddingSet,
     SimilarityMatrix,
     cosine_similarity_matrix,
@@ -120,6 +121,12 @@ class TestValidation:
             EmbeddingSet([[np.nan, 1.0]])
         with pytest.raises(ValueError):
             SimilarityMatrix([[np.inf]])
+        # at construction, before any block is scored
+        bad = np.array([[np.nan, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            CosineBlocks(bad, np.eye(2))
+        with pytest.raises(ValueError):
+            CosineBlocks(np.eye(2), bad)
 
     def test_bad_modality(self):
         with pytest.raises(ValueError):

@@ -129,7 +129,7 @@ class TestRetrievalEval:
         # CosineBlocks of 4-row blocks: labels are read a block of rows at a time
         monkeypatch.setattr(hublab.core, "BLOCK_ROWS", 4)
         s = CosineBlocks(random_unit_rows(rng, 30, 6), random_unit_rows(rng, 40, 6))
-        scores = np.concatenate([block.scores.copy() for _, block in s.blocks()])
+        scores = np.concatenate([block.copy() for _, block in s.blocks()])
         mask = rng.uniform(size=(30, 40)) < 0.1
         mask[np.arange(30), np.arange(30)] = True
         mask[7] |= rng.uniform(size=40) < 0.5
@@ -137,7 +137,7 @@ class TestRetrievalEval:
         tops = []
 
         def each_block(block, top):
-            order = np.argsort(-block.scores, axis=1, kind="stable")
+            order = np.argsort(-block, axis=1, kind="stable")
             tops.append(top.shape[1] == width and (top == order[:, :width]).all())
 
         got = retrieval_eval(s, RelevanceLabels.from_mask(mask), each_block)

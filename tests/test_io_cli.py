@@ -405,9 +405,9 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
     if probe == "short-sidecar":
         hio.sidecar_path(g).write_text('{"ids": ["a"]}')
         return analyze
-    if probe in ("label-out-of-range", "label-negative", "label-float"):
+    if probe in ("label-out-of-range", "label-negative", "label-float", "label-bool"):
         pair = {"label-out-of-range": [0, 4], "label-negative": [-1, 0],
-                "label-float": [0.5, 0]}[probe]
+                "label-float": [0.5, 0], "label-bool": [True, False]}[probe]
         labels = tmp_path / "labels.json"
         labels.write_text(json.dumps({"pairs": [[i, i] for i in range(4)] + [pair]}))
         return ["retrieve", "--queries", str(q), "--galleries", str(g),
@@ -446,6 +446,12 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_pairs": 16, "dim": 4, "batch_size": 8, "epochs": 1,
                                    "k_neighbors": 3, "kappa": 1e-300}))
+        return ["train", "--config", str(cfg)]
+    if probe == "diverge-temperature":
+        # gradients near 1e299 overflow Adam's second moment g * g
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_pairs": 16, "dim": 4, "batch_size": 8, "epochs": 1,
+                                   "k_neighbors": 3, "temperature": 1e-300}))
         return ["train", "--config", str(cfg)]
     if probe == "sinkhorn-capped":
         # the first solve stops at its iteration cap far from the marginals:
@@ -503,6 +509,9 @@ _PROBE_ERRORS = {
     "seed-negative": r"error: seed must be >= 0",
     # a float index would be truncated to a valid-looking row
     "label-float": r"error: \S+: bad label pairs",
+    # NumPy would read true among integer pairs as the index 1
+    "label-bool": r"error: \S+: bad label pairs",
+    "diverge-temperature": r"error: .* at step 0",
     "diverge-kappa": r"error: centrality weights exp\(C / kappa\) with kappa 1e-300 "
                      r"are not finite at step 1$",
     "sinkhorn-capped": r"error: marginal residual \S+ exceeds 100x tol \S+ at step 0$",
@@ -529,7 +538,7 @@ class TestBadInput:
         "simi-cent-not-unit", "sinkhorn-capped", "removed-use-kl",
         "removed-normalize-weights", "seed-negative", "label-float", "train-one-path",
         "sidecar-label-string", "config-null", "mode-unknown", "out-is-file",
-        "sinkhorn-overflow", "train-k-too-large"])
+        "sinkhorn-overflow", "train-k-too-large", "label-bool", "diverge-temperature"])
     # a NumPy RuntimeWarning would print ahead of the error line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,

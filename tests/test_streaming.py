@@ -60,7 +60,8 @@ def test_blocked_output_equals_one_block_output(tmp_path, monkeypatch, rng):
     commands = [["retrieve", "--mode", "simi"] + inputs,
                 ["retrieve", "--mode", "simi-cent"] + inputs,
                 ["retrieve", "--labels", str(labels)] + inputs,
-                ["analyze", "--k", "5"] + inputs]
+                ["analyze", "--k", "5"] + inputs,
+                ["analyze", "--k", "1"] + inputs]
 
     def run(block: int, out: str, count: int) -> list:
         monkeypatch.setattr(hublab.core, "BLOCK_ROWS", block)

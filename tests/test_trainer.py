@@ -124,14 +124,14 @@ class TestStationaryPoint:
         import hublab.trainer as tr
         from hublab import SimilarityMatrix
         from hublab.losses import loss_nbi, NeighborSet
-        from hublab.transport import BlendedTarget, loss_opt
+        from hublab.transport import loss_opt
         from conftest import fd_grad, max_rel_error
 
         rng = np.random.default_rng(0)
         scores = rng.normal(size=(6, 6))
         s = SimilarityMatrix(scores)
         from hublab.core import row_softmax
-        target = BlendedTarget(row_softmax(scores), 0.5)
+        target = row_softmax(scores)
         out = loss_opt(s, target)
         fd = fd_grad(lambda x: loss_opt(SimilarityMatrix(x), target).value, scores)
         assert max_rel_error(out.grad, fd) < 1e-8
@@ -214,6 +214,13 @@ class TestTraining:
             train(small_config(kappa=1e-300), tiny_data)
         assert isinstance(info.value, DivergenceDetected)
         assert isinstance(info.value, ValueError)
+
+    def test_overflowing_adam_moment_names_the_step(self, tiny_data):
+        # gradients near 1e299 overflow g * g in Adam's second moment, whose
+        # inf would silently turn every later update of those entries into 0
+        with pytest.raises(DivergenceDetected, match=r"at step 0$") as info:
+            train(small_config(temperature=1e-300), tiny_data)
+        assert type(info.value) is DivergenceDetected
 
     def test_projection_model_trains(self, tiny_data):
         result = train(small_config(model="linear-projection", epochs=1),

@@ -6,7 +6,7 @@ import pytest
 from hublab import SimilarityMatrix, blend_targets, loss_opt, sinkhorn_plan
 from hublab.core import row_softmax
 from hublab.errors import NonSquarePlan, NotConverged, ShapeMismatch
-from hublab.transport import KERNEL_RANGE, NEWTON_AFTER, BlendedTarget, TransportPlan
+from hublab.transport import KERNEL_RANGE, NEWTON_AFTER, TransportPlan
 
 from conftest import fd_grad, max_rel_error, random_unit_rows
 
@@ -372,48 +372,48 @@ class TestBlendTargets:
     def test_beta_zero_is_identity(self, rng):
         s = SimilarityMatrix(rng.uniform(-1, 1, size=(4, 4)))
         plan = sinkhorn_plan(s, 0.5)
-        out = blend_targets(plan, 0.0)
-        np.testing.assert_allclose(out.q_blend, np.eye(4), atol=1e-12)
+        out = blend_targets(plan.q, 0.0)
+        np.testing.assert_allclose(out, np.eye(4), atol=1e-12)
 
     def test_beta_one_uniform_plan(self):
-        out = blend_targets(self._uniform_plan(5), 1.0)
-        np.testing.assert_allclose(out.q_blend, 1.0 / 5.0, atol=1e-15)
+        out = blend_targets(self._uniform_plan(5).q, 1.0)
+        np.testing.assert_allclose(out, 1.0 / 5.0, atol=1e-15)
 
     def test_half_blend_hand_arithmetic(self):
-        out = blend_targets(self._uniform_plan(4), 0.5)
+        out = blend_targets(self._uniform_plan(4).q, 0.5)
         expected = np.full((4, 4), 0.125)
         np.fill_diagonal(expected, 0.625)
-        np.testing.assert_allclose(out.q_blend, expected, atol=1e-15)
-        np.testing.assert_allclose(out.q_blend.sum(axis=1), 1.0, atol=1e-15)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-15)
 
     def test_rows_stochastic_for_solved_plan(self, rng):
         s = SimilarityMatrix(rng.uniform(-1, 1, size=(6, 6)))
         plan = sinkhorn_plan(s, 0.2, tol=1e-10, max_iter=50000)
-        out = blend_targets(plan, 0.7)
-        np.testing.assert_allclose(out.q_blend.sum(axis=1), 1.0, atol=1e-9)
-        assert out.q_blend.min() >= 0.0
+        out = blend_targets(plan.q, 0.7)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
+        assert out.min() >= 0.0
 
     def test_non_square_rejected(self):
         plan = TransportPlan(np.full((2, 3), 1.0 / 6), 1, 0.0)
         with pytest.raises(NonSquarePlan):
-            blend_targets(plan, 0.5)
+            blend_targets(plan.q, 0.5)
 
     def test_beta_out_of_range(self):
         with pytest.raises(ValueError):
-            blend_targets(self._uniform_plan(3), 1.5)
+            blend_targets(self._uniform_plan(3).q, 1.5)
 
 
 class TestLossOpt:
     def test_gradient_zero_at_fixed_point(self, rng):
         scores = rng.normal(size=(4, 4))
         s = SimilarityMatrix(scores)
-        target = BlendedTarget(row_softmax(scores), 0.5)
+        target = row_softmax(scores)
         out = loss_opt(s, target)
         np.testing.assert_allclose(out.grad, 0.0, atol=1e-12)
 
     def test_uniform_target_constant_rows(self):
         s = SimilarityMatrix(np.full((3, 5), 0.2))
-        target = BlendedTarget(np.full((3, 5), 0.2), 1.0)
+        target = np.full((3, 5), 0.2)
         out = loss_opt(s, target)
         np.testing.assert_allclose(out.grad, 0.0, atol=1e-15)
         assert out.value == pytest.approx(np.log(5.0), abs=1e-12)
@@ -421,7 +421,7 @@ class TestLossOpt:
     def test_gradient_against_finite_differences(self, rng):
         scores = rng.normal(size=(5, 5))
         raw = rng.uniform(0.1, 1.0, size=(5, 5))
-        target = BlendedTarget(raw / raw.sum(axis=1, keepdims=True), 0.5)
+        target = raw / raw.sum(axis=1, keepdims=True)
         out = loss_opt(SimilarityMatrix(scores), target)
         fd = fd_grad(lambda x: loss_opt(SimilarityMatrix(x), target).value, scores)
         assert max_rel_error(out.grad, fd) < 1e-6
@@ -429,7 +429,7 @@ class TestLossOpt:
     def test_gradient_with_temperature(self, rng):
         scores = rng.normal(size=(4, 6))
         raw = rng.uniform(0.1, 1.0, size=(4, 6))
-        target = BlendedTarget(raw / raw.sum(axis=1, keepdims=True), 0.5)
+        target = raw / raw.sum(axis=1, keepdims=True)
         out = loss_opt(SimilarityMatrix(scores, temperature=0.3), target)
         fd = fd_grad(
             lambda x: loss_opt(SimilarityMatrix(x, temperature=0.3), target).value,
@@ -439,7 +439,7 @@ class TestLossOpt:
     def test_gradient_rows_sum_to_zero(self, rng):
         scores = rng.normal(size=(6, 6))
         raw = rng.uniform(0.1, 1.0, size=(6, 6))
-        target = BlendedTarget(raw / raw.sum(axis=1, keepdims=True), 0.5)
+        target = raw / raw.sum(axis=1, keepdims=True)
         out = loss_opt(SimilarityMatrix(scores), target)
         np.testing.assert_allclose(out.grad.sum(axis=1), 0.0, atol=1e-12)
 
@@ -447,21 +447,21 @@ class TestLossOpt:
         scores = rng.normal(size=(4, 4))
         raw = rng.uniform(0.1, 1.0, size=(4, 4))
         q = raw / raw.sum(axis=1, keepdims=True)
-        out = loss_opt(SimilarityMatrix(scores), BlendedTarget(q, 0.5))
+        out = loss_opt(SimilarityMatrix(scores), q)
         p = row_softmax(scores)
         np.testing.assert_allclose(out.grad, -(q - p) / 4.0, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             loss_opt(SimilarityMatrix(np.zeros((2, 3))),
-                     BlendedTarget(np.eye(2), 0.5))
+                     np.eye(2))
 
     def test_descent_drives_rows_uniform(self):
         # minimizing the loss alone over free logits with uniform targets
         rng = np.random.default_rng(7)
         n, m = 16, 8
         scores = rng.normal(size=(n, m))
-        target = BlendedTarget(np.full((n, m), 1.0 / m), 1.0)
+        target = np.full((n, m), 1.0 / m)
         lr = 2.0 * n
         for step in range(2000):
             out = loss_opt(SimilarityMatrix(scores), target)
