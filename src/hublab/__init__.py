@@ -2,7 +2,6 @@
 diagnostics for embedding spaces, with a desk-scale trainer and CLI."""
 
 from .bank import (
-    CentralityVector,
     MemoryBank,
     centrality_weights,
     cross_centrality,
@@ -36,7 +35,6 @@ from .hubness import (
 from .losses import (
     LossBundle,
     NeighborSet,
-    decentral_similarity,
     loss_kl,
     loss_nbi,
     loss_wti,
@@ -68,7 +66,6 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CentralityVector",
     "CosineBlocks",
     "EmbeddingSet",
     "HubnessReport",
@@ -92,7 +89,6 @@ __all__ = [
     "cosine_blocks",
     "cosine_similarity_matrix",
     "cross_centrality",
-    "decentral_similarity",
     "dpc_knn_merge",
     "good_bad_occurrence",
     "grad_check",

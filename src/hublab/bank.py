@@ -8,8 +8,6 @@ detached snapshots; they never carry gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import MODALITIES, EmbeddingSet, opposite, require_unit_rows, row_blocks
@@ -20,22 +18,6 @@ from .errors import (
     NonFiniteLoss,
     NonPositiveKappa,
 )
-
-KIND_INTRA = "intra"
-KIND_CROSS = "cross"
-
-
-@dataclass
-class CentralityVector:
-    """Mean cosine similarities of a batch against one bank queue."""
-
-    values: np.ndarray
-    kind: str = KIND_INTRA
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.kind not in (KIND_INTRA, KIND_CROSS):
-            raise ValueError(f"kind must be 'intra' or 'cross', got {self.kind!r}")
 
 
 class MemoryBank:
@@ -77,7 +59,7 @@ def push_batch(bank: MemoryBank, batch: EmbeddingSet) -> MemoryBank:
     return bank
 
 
-def _centrality(stored: np.ndarray, samples: EmbeddingSet, kind: str) -> CentralityVector:
+def _centrality(stored: np.ndarray, samples: EmbeddingSet) -> np.ndarray:
     if stored.shape[0] == 0:
         raise EmptyBank("centrality requested against an empty queue")
     if samples.dim != stored.shape[1]:
@@ -87,35 +69,29 @@ def _centrality(stored: np.ndarray, samples: EmbeddingSet, kind: str) -> Central
     # one block of samples at a time: the full gram would be n x fill
     values = np.concatenate([(unit[rows] @ stored.T).mean(axis=1)
                              for rows in row_blocks(samples.n)])
-    return CentralityVector(np.clip(values, -1.0, 1.0), kind)
+    return np.clip(values, -1.0, 1.0)
 
 
-def intra_centrality(bank: MemoryBank, samples: EmbeddingSet) -> CentralityVector:
+def intra_centrality(bank: MemoryBank, samples: EmbeddingSet) -> np.ndarray:
     """Mean cosine of each sample to the same-modality queue."""
-    return _centrality(bank._slots[samples.modality], samples, KIND_INTRA)
+    return _centrality(bank._slots[samples.modality], samples)
 
 
-def cross_centrality(bank: MemoryBank, samples: EmbeddingSet) -> CentralityVector:
+def cross_centrality(bank: MemoryBank, samples: EmbeddingSet) -> np.ndarray:
     """Mean cosine of each sample to the opposite-modality queue."""
-    return _centrality(bank._slots[opposite(samples.modality)], samples, KIND_CROSS)
+    return _centrality(bank._slots[opposite(samples.modality)], samples)
 
 
-def centrality_weights(c: CentralityVector, kappa: float,
-                       normalize: bool = True) -> np.ndarray:
-    """Per-sample weights exp(C_i / kappa) from intra-modal centrality.
-
-    With ``normalize`` set (the default) the weights are rescaled to batch
-    mean 1 so the effective learning rate stays comparable across kappa.
+def centrality_weights(c: np.ndarray, kappa: float) -> np.ndarray:
+    """Per-sample weights exp(C_i / kappa) from intra-modal centrality,
+    rescaled to batch mean 1 so the effective learning rate stays comparable
+    across kappa.
     """
     if not kappa > 0:
         raise NonPositiveKappa(f"kappa must be positive, got {kappa}")
-    if c.kind != KIND_INTRA:
-        raise ValueError("centrality weights are defined on intra-modal centrality")
     with np.errstate(over="ignore"):
-        w = np.exp(c.values / kappa)
+        w = np.exp(c / kappa)
     if not np.all(np.isfinite(w)):
         raise NonFiniteLoss(f"centrality weights exp(C / kappa) with kappa {kappa!r} "
                             "are not finite")
-    if normalize:
-        w = w / w.mean()
-    return w
+    return w / w.mean()

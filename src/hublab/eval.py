@@ -141,4 +141,4 @@ def infer_simi_cent(s: SimilarityMatrix | CosineBlocks, gallery: EmbeddingSet,
         raise ShapeMismatch(f"gallery has {gallery.n} rows, scores have {s.m} columns")
     if bank.fill(gallery.modality) == 0:
         raise EmptyBank(f"no stored {gallery.modality}-side vectors to rank against")
-    return s.minus_columns(intra_centrality(bank, gallery).values)
+    return s.minus_columns(intra_centrality(bank, gallery))

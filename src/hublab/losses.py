@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import KIND_CROSS, CentralityVector
 from .core import SimilarityMatrix, row_log_softmax, row_softmax
 from .errors import (
     InconsistentTargets,
@@ -106,16 +105,6 @@ def loss_wti(s: SimilarityMatrix, w: np.ndarray) -> LossBundle:
     return LossBundle(float(value), grad, per_sample)
 
 
-def decentral_similarity(s: SimilarityMatrix, cg: CentralityVector) -> SimilarityMatrix:
-    """Subtract each gallery item's cross-modal centrality from its column."""
-    if cg.kind != KIND_CROSS:
-        raise ValueError("de-centrality similarity needs cross-modal centrality")
-    if cg.values.shape != (s.m,):
-        raise LengthMismatch(
-            f"centrality has shape {cg.values.shape}, expected ({s.m},)")
-    return s.minus_columns(cg.values)
-
-
 def select_neighbors(s: SimilarityMatrix, k: int,
                      ground_truth: np.ndarray | None = None) -> NeighborSet:
     """Top-k columns of every row by raw score, each row's ground truth excluded.
@@ -140,15 +129,22 @@ def select_neighbors(s: SimilarityMatrix, k: int,
     return NeighborSet(top[~drop].reshape(s.n, k), gt)
 
 
-def neighbor_targets(s_tilde: SimilarityMatrix, ns: NeighborSet) -> np.ndarray:
+def neighbor_targets(s: SimilarityMatrix, ns: NeighborSet,
+                     centrality: np.ndarray) -> np.ndarray:
     """Target rows H over each ground truth plus its neighbor members.
 
     The ground-truth column is pinned to 1.0; member columns are the softmax
-    of the de-centrality scores restricted to the members, so those sum to 1.
+    of the de-centrality scores S_ij - C_j restricted to the members, so
+    those sum to 1. ``centrality`` holds each candidate column's cross-modal
+    centrality C_j and is only read at the members.
     """
-    member_scores = np.take_along_axis(s_tilde.scores, ns.members, axis=1)
+    if centrality.shape != (s.m,):
+        raise LengthMismatch(
+            f"centrality has shape {centrality.shape}, expected ({s.m},)")
+    member_scores = (np.take_along_axis(s.scores, ns.members, axis=1)
+                     - centrality[ns.members])
     h = np.ones((ns.members.shape[0], ns.members.shape[1] + 1))
-    h[:, 1:] = row_softmax(member_scores, s_tilde.temperature)
+    h[:, 1:] = row_softmax(member_scores, s.temperature)
     return h
 
 

@@ -20,9 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank import (
-    KIND_CROSS,
-    KIND_INTRA,
-    CentralityVector,
     MemoryBank,
     centrality_weights,
     cross_centrality,  # not called here; benchmarks/spans.py wraps it by name
@@ -47,7 +44,6 @@ from .losses import (
     GRAD_MODE_PAPER,
     LOSS_PARTS,
     LossBundle,
-    decentral_similarity,
     loss_kl,  # not called here; benchmarks/spans.py wraps hublab.trainer.loss_kl by name
     loss_nbi,
     loss_wti,
@@ -405,8 +401,8 @@ def compute_targets(config: TrainConfig, bank: MemoryBank, eq: np.ndarray,
         anchor_mean = means.get(modality)
         weights = np.ones(b)
         if config.use_wti:
-            c = CentralityVector(_queue_centrality(anchors, anchor_mean), KIND_INTRA)
-            weights = centrality_weights(c, config.kappa)
+            weights = centrality_weights(_queue_centrality(anchors, anchor_mean),
+                                         config.kappa)
         pool = None
         if config.neighbor_pool == POOL_BANK and bank.fill(opposite(modality)):
             pool = np.asarray(bank.vectors(opposite(modality)))
@@ -417,9 +413,7 @@ def compute_targets(config: TrainConfig, bank: MemoryBank, eq: np.ndarray,
                 cross = np.concatenate([cross, _queue_centrality(pool, anchor_mean)])
             s = grids.candidates[name] = _candidate_grid(config, anchors, dir_scores, pool)
             ns = select_neighbors(s, config.k_neighbors)
-            # the de-centrality grid lives only while its targets are read
-            shift = CentralityVector(cross, KIND_CROSS)
-            nbi = ns, neighbor_targets(decentral_similarity(s, shift), ns)
+            nbi = ns, neighbor_targets(s, ns, cross)
         opt = blend_targets(plans[name], config.beta) if config.use_opt else None
         directions[name] = _Direction(weights, pool, nbi, opt)
     return _BatchTargets(directions, plan), grids

@@ -82,7 +82,7 @@ class TestCriterion1GradientFidelity:
 
         s = SimilarityMatrix(scores)
         ns = select_neighbors(s, 5)  # every row, ground truth on the diagonal
-        h = neighbor_targets(s, ns)
+        h = neighbor_targets(s, ns, np.zeros(s.m))
         out = loss_nbi(s, h, ns, "exact")
         fd = fd_grad(lambda x: loss_nbi(SimilarityMatrix(x), h, ns, "exact").value,
                      scores)
@@ -123,7 +123,7 @@ class TestCriterion2PaperGradient:
             s = SimilarityMatrix(scores)
             k = int(rng.integers(1, m - 1))
             ns = select_neighbors(s, k, ground_truth=rng.integers(0, m, size=4))
-            h = neighbor_targets(s, ns)
+            h = neighbor_targets(s, ns, np.zeros(s.m))
             out = loss_nbi(s, h, ns, GRAD_MODE_PAPER)
             # the gradient of the mean over 4 anchors is each row's (P - H) / 4
             plus = ns.plus_indices

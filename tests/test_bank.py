@@ -9,7 +9,6 @@ from hublab import (
     intra_centrality,
     push_batch,
 )
-from hublab.bank import KIND_CROSS, KIND_INTRA, CentralityVector
 from hublab.errors import BatchTooLarge, EmptyBank, NonPositiveKappa
 
 from conftest import random_unit_rows
@@ -75,20 +74,20 @@ class TestCentrality:
         bank = MemoryBank(4, 2)
         v = EmbeddingSet([[1.0, 0.0]])
         push_batch(bank, v)
-        assert intra_centrality(bank, v).values[0] == pytest.approx(1.0)
+        assert intra_centrality(bank, v)[0] == pytest.approx(1.0)
 
     def test_cancellation(self):
         bank = MemoryBank(4, 2)
         push_batch(bank, EmbeddingSet([[1.0, 0.0], [-1.0, 0.0]]))
         c = intra_centrality(bank, EmbeddingSet([[1.0, 0.0]]))
-        assert c.values[0] == pytest.approx(0.0, abs=1e-15)
+        assert c[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_against_brute_force_oracle(self, rng):
         bank = MemoryBank(64, 5)
         stored = random_unit_rows(rng, 50, 5)
         push_batch(bank, EmbeddingSet(stored))
         samples = EmbeddingSet(random_unit_rows(rng, 5, 5))
-        got = intra_centrality(bank, samples).values
+        got = intra_centrality(bank, samples)
         for i in range(5):
             total = 0.0
             for j in range(50):
@@ -101,22 +100,21 @@ class TestCentrality:
         push_batch(bank, EmbeddingSet(gallery_vecs, "gallery"))
         sample = EmbeddingSet(gallery_vecs[:1], "query")
         c = cross_centrality(bank, sample)
-        assert c.kind == KIND_CROSS
         oracle = np.mean([sample.data[0] @ v for v in gallery_vecs])
-        assert c.values[0] == pytest.approx(oracle, abs=1e-12)
+        assert c[0] == pytest.approx(oracle, abs=1e-12)
 
     def test_cross_identical_vector(self):
         bank = MemoryBank(4, 2)
         y = EmbeddingSet([[0.0, 1.0]], "gallery")
         push_batch(bank, y)
         x = EmbeddingSet([[0.0, 1.0]], "query")
-        assert cross_centrality(bank, x).values[0] == pytest.approx(1.0)
+        assert cross_centrality(bank, x)[0] == pytest.approx(1.0)
 
     def test_cross_orthogonal(self):
         bank = MemoryBank(4, 2)
         push_batch(bank, EmbeddingSet([[0.0, 1.0]], "gallery"))
         c = cross_centrality(bank, EmbeddingSet([[1.0, 0.0]], "query"))
-        assert c.values[0] == pytest.approx(0.0, abs=1e-15)
+        assert c[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_bank_raises(self):
         bank = MemoryBank(4, 2)
@@ -127,52 +125,49 @@ class TestCentrality:
         bank = MemoryBank(32, 6)
         push_batch(bank, _unit_batch(rng, 20, 6))
         c = intra_centrality(bank, _unit_batch(rng, 10, 6))
-        assert c.values.min() >= -1.0 and c.values.max() <= 1.0
+        assert c.min() >= -1.0 and c.max() <= 1.0
 
     def test_duplicate_push_cannot_decrease_self_centrality(self, rng):
         x = EmbeddingSet(random_unit_rows(rng, 1, 4))
         bank = MemoryBank(16, 4)
         push_batch(bank, _unit_batch(rng, 5, 4))
-        before = intra_centrality(bank, x).values[0]
+        before = intra_centrality(bank, x)[0]
         push_batch(bank, x)
-        after = intra_centrality(bank, x).values[0]
+        after = intra_centrality(bank, x)[0]
         assert after >= before - 1e-12
 
 
 class TestWeights:
+    """Weights exp(C_i / kappa), normalized to batch mean 1."""
+
     def test_zero_centrality_gives_unit_weights(self):
-        c = CentralityVector(np.zeros(3), KIND_INTRA)
-        np.testing.assert_allclose(centrality_weights(c, 1.0, normalize=False),
+        np.testing.assert_allclose(centrality_weights(np.zeros(3), 1.0),
                                    [1.0, 1.0, 1.0])
 
-    def test_single_value_closed_form(self):
-        c = CentralityVector([1.0], KIND_INTRA)
-        assert centrality_weights(c, 1.0, normalize=False)[0] == pytest.approx(np.e)
+    def test_closed_form_ratio(self, rng):
+        c = rng.uniform(-1, 1, size=6)
+        w = centrality_weights(c, 0.3)
+        np.testing.assert_allclose(w[:, None] / w[None, :],
+                                   np.exp((c[:, None] - c[None, :]) / 0.3), rtol=1e-12)
 
     def test_normalized_pair_against_scalar_oracle(self):
-        c = CentralityVector([0.5, -0.5], KIND_INTRA)
-        w = centrality_weights(c, 0.25, normalize=True)
+        w = centrality_weights(np.array([0.5, -0.5]), 0.25)
         raw = np.array([np.exp(2.0), np.exp(-2.0)])
         np.testing.assert_allclose(w, raw / raw.mean(), atol=1e-12)
         assert w.mean() == pytest.approx(1.0)
 
     def test_monotone_in_centrality_and_kappa(self):
         grid = np.linspace(0.05, 0.9, 12)
-        w = centrality_weights(CentralityVector(grid, KIND_INTRA), 0.3,
-                               normalize=False)
+        w = centrality_weights(grid, 0.3)
         assert np.all(np.diff(w) > 0)
+        # against a zero-centrality partner, a central sample's share
+        # shrinks as kappa grows
         for c in grid:
-            cv = CentralityVector([c], KIND_INTRA)
-            small = centrality_weights(cv, 0.2, normalize=False)[0]
-            large = centrality_weights(cv, 0.4, normalize=False)[0]
+            pair = np.array([c, 0.0])
+            small = centrality_weights(pair, 0.2)[0]
+            large = centrality_weights(pair, 0.4)[0]
             assert small > large
 
     def test_kappa_must_be_positive(self):
-        c = CentralityVector([0.0], KIND_INTRA)
         with pytest.raises(NonPositiveKappa):
-            centrality_weights(c, 0.0)
-
-    def test_requires_intra_kind(self):
-        c = CentralityVector([0.0], KIND_CROSS)
-        with pytest.raises(ValueError):
-            centrality_weights(c, 1.0)
+            centrality_weights(np.zeros(1), 0.0)

@@ -3,7 +3,6 @@ import pytest
 
 from hublab import (
     SimilarityMatrix,
-    decentral_similarity,
     loss_kl,
     loss_nbi,
     loss_wti,
@@ -11,7 +10,7 @@ from hublab import (
     select_neighbors,
     total_loss,
 )
-from hublab.bank import KIND_CROSS, KIND_INTRA, CentralityVector
+from hublab.core import row_softmax
 from hublab.losses import GRAD_MODE_EXACT, GRAD_MODE_PAPER, LossBundle, NeighborSet
 from hublab.errors import (
     InconsistentTargets,
@@ -80,37 +79,42 @@ class TestLossWti:
 
 
 class TestDecentralSimilarity:
+    """The de-centrality scores S_ij - C_j, which ``neighbor_targets`` takes
+    at each anchor's members only."""
+
     def test_zero_centrality_is_identity(self, rng):
-        s = SimilarityMatrix(rng.normal(size=(3, 4)))
-        out = decentral_similarity(s, CentralityVector(np.zeros(4), KIND_CROSS))
-        np.testing.assert_array_equal(out.scores, s.scores)
+        s = SimilarityMatrix(rng.normal(size=(3, 8)))
+        ns = select_neighbors(s, 4)
+        h = neighbor_targets(s, ns, np.zeros(8))
+        member_scores = np.take_along_axis(s.scores, ns.members, axis=1)
+        np.testing.assert_array_equal(h[:, 1:], row_softmax(member_scores))
 
-    def test_constant_half(self):
-        s = SimilarityMatrix(np.full((2, 3), 0.5))
-        out = decentral_similarity(s, CentralityVector(np.full(3, 0.5), KIND_CROSS))
-        np.testing.assert_allclose(out.scores, 0.0, atol=1e-15)
+    def test_matches_subtract_then_gather(self, rng):
+        # the width of a train-bankpool candidate grid: 128 batch + 1024 pool
+        s = SimilarityMatrix(rng.normal(size=(128, 1152)), temperature=0.07)
+        cross = rng.uniform(-1, 1, size=1152)
+        ns = select_neighbors(s, 20)
+        shifted = np.take_along_axis(s.scores - cross[None, :], ns.members, axis=1)
+        reference = np.ones((128, 21))
+        reference[:, 1:] = row_softmax(shifted, 0.07)
+        np.testing.assert_array_equal(neighbor_targets(s, ns, cross), reference)
 
-    def test_algebraic_inverse(self, rng):
-        s = SimilarityMatrix(rng.normal(size=(4, 6)))
-        c = CentralityVector(rng.uniform(-1, 1, size=6), KIND_CROSS)
-        out = decentral_similarity(s, c)
-        np.testing.assert_allclose(out.scores + c.values[None, :], s.scores,
-                                   atol=1e-15)
-
-    def test_requires_cross_kind(self):
-        s = SimilarityMatrix(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            decentral_similarity(s, CentralityVector(np.zeros(2), KIND_INTRA))
+    def test_constant_half(self, rng):
+        s = SimilarityMatrix(rng.normal(size=(4, 9)))
+        ns = select_neighbors(s, 5)
+        np.testing.assert_allclose(neighbor_targets(s, ns, np.full(9, 0.5)),
+                                   neighbor_targets(s, ns, np.zeros(9)),
+                                   rtol=0, atol=1e-15)
 
     def test_length_mismatch(self):
         s = SimilarityMatrix(np.zeros((2, 3)))
+        ns = NeighborSet([[1], [0]], ground_truth=[0, 1])
         with pytest.raises(LengthMismatch):
-            decentral_similarity(s, CentralityVector(np.zeros(2), KIND_CROSS))
+            neighbor_targets(s, ns, np.zeros(2))
 
     def test_constant_offset_keeps_neighbor_selection(self, rng):
         s = SimilarityMatrix(rng.normal(size=(3, 9)))
-        shifted = decentral_similarity(
-            s, CentralityVector(np.full(9, 0.37), KIND_CROSS))
+        shifted = SimilarityMatrix(s.scores - 0.37)
         a = select_neighbors(s, 4, ground_truth=[2, 0, 8])
         b = select_neighbors(shifted, 4, ground_truth=[2, 0, 8])
         np.testing.assert_array_equal(a.members, b.members)
@@ -153,19 +157,19 @@ class TestNeighborTargets:
     def test_single_member(self):
         s = SimilarityMatrix([[0.3, 0.1]])
         ns = NeighborSet([[1]], ground_truth=[0])
-        h = neighbor_targets(s, ns)
+        h = neighbor_targets(s, ns, np.zeros(2))
         np.testing.assert_allclose(h, [[1.0, 1.0]])
 
     def test_two_equal_members(self):
         s = SimilarityMatrix([[0.0, 0.4, 0.4]])
         ns = NeighborSet([[1, 2]], ground_truth=[0])
-        h = neighbor_targets(s, ns)
+        h = neighbor_targets(s, ns, np.zeros(3))
         np.testing.assert_allclose(h, [[1.0, 0.5, 0.5]])
 
     def test_against_scalar_softmax_oracle(self):
         s = SimilarityMatrix([[9.0, 1.0, 0.0, -1.0]])
         ns = NeighborSet([[1, 2, 3]], ground_truth=[0])
-        h = neighbor_targets(s, ns)
+        h = neighbor_targets(s, ns, np.zeros(4))
         e = np.exp([1.0, 0.0, -1.0])
         np.testing.assert_allclose(h[0, 1:], e / e.sum(), atol=1e-12)
         assert h[0, 1:].sum() == pytest.approx(1.0, abs=1e-12)
@@ -173,7 +177,7 @@ class TestNeighborTargets:
     def test_members_sum_to_one(self, rng):
         s = SimilarityMatrix(rng.normal(size=(2, 8)))
         ns = select_neighbors(s, 5)
-        h = neighbor_targets(s, ns)
+        h = neighbor_targets(s, ns, np.zeros(8))
         assert np.all(h[:, 0] == 1.0)
         np.testing.assert_allclose(h[:, 1:].sum(axis=1), 1.0, atol=1e-12)
 
@@ -189,9 +193,7 @@ class TestLossNbi:
         scores = rng.normal(size=(3, m))
         s = SimilarityMatrix(scores)
         ns = select_neighbors(s, k)
-        s_tilde = decentral_similarity(
-            s, CentralityVector(rng.uniform(-0.5, 0.5, size=m), KIND_CROSS))
-        h = neighbor_targets(s_tilde, ns)
+        h = neighbor_targets(s, ns, rng.uniform(-0.5, 0.5, size=m))
         return s, ns, h
 
     def test_symmetric_two_member_case(self):
@@ -223,7 +225,7 @@ class TestLossNbi:
         scores = rng.normal(size=(2, 9))
         s = SimilarityMatrix(scores, temperature=0.5)
         ns = select_neighbors(s, 5)
-        h = neighbor_targets(s, ns)
+        h = neighbor_targets(s, ns, np.zeros(9))
         out = loss_nbi(s, h, ns)
         fd = fd_grad(
             lambda x: loss_nbi(SimilarityMatrix(x, temperature=0.5), h, ns).value,
@@ -300,8 +302,7 @@ class TestBatchedNbiAgainstPerAnchor:
         gts = rng.integers(0, n + pool, size=n)
         s = SimilarityMatrix(scores, temperature=0.7)
         ns = select_neighbors(s, k, ground_truth=gts)
-        h = neighbor_targets(SimilarityMatrix(scores - rng.uniform(0, 0.3, n + pool),
-                                              0.7), ns)
+        h = neighbor_targets(s, ns, rng.uniform(0, 0.3, n + pool))
         members, values, grad = self._reference(scores, gts, k, h, mode, 0.7)
         np.testing.assert_array_equal(ns.members, members)
         out = loss_nbi(s, h, ns, mode)

@@ -18,7 +18,7 @@ from hublab import (
     train,
 )
 from hublab.errors import DivergenceDetected, InvalidFraction, NonFiniteLoss
-from hublab.losses import decentral_similarity, neighbor_targets
+from hublab.losses import neighbor_targets
 from hublab.trainer import Adam
 
 
@@ -68,7 +68,7 @@ class TestSynthGenerate:
         data = synth_generate(500, 32, 0.1, 0.5, 0.8, 5)
         bank = MemoryBank(500, 32)
         push_batch(bank, data.queries)
-        c = cross_centrality(bank, data.galleries).values
+        c = cross_centrality(bank, data.galleries)
         assert c[data.planted].mean() > c[~data.planted].mean()
 
     def test_invalid_fractions(self):
@@ -257,13 +257,13 @@ class TestQueueMeanCentrality:
         batch = shared_direction_rows(rng, 128, 64)
         pool = full_bank.vectors(cand)
         assert pool.shape == (1024, 64)
-        intra = intra_centrality(full_bank, EmbeddingSet(batch, anchor)).values
+        intra = intra_centrality(full_bank, EmbeddingSet(batch, anchor))
         assert intra.min() > 0.3
         np.testing.assert_allclose(tr._queue_centrality(batch, mean), intra,
                                    rtol=0, atol=1e-12)
         # candidates, from the batch and from the whole pool, against the anchors' queue
         for rows in (batch, pool):
-            cross = cross_centrality(full_bank, EmbeddingSet(rows, cand)).values
+            cross = cross_centrality(full_bank, EmbeddingSet(rows, cand))
             np.testing.assert_allclose(tr._queue_centrality(rows, mean), cross,
                                        rtol=0, atol=1e-12)
 
@@ -281,9 +281,10 @@ class TestQueueMeanCentrality:
                                        centrality_weights(c, config.kappa), rtol=1e-12)
             rows = np.concatenate([cands, full_bank.vectors(cand)])
             cross = cross_centrality(full_bank, EmbeddingSet(rows, cand))
-            s_tilde = decentral_similarity(SimilarityMatrix(anchors @ rows.T), cross)
             ns, h = direction.nbi
-            np.testing.assert_allclose(h, neighbor_targets(s_tilde, ns), rtol=1e-12)
+            np.testing.assert_allclose(
+                h, neighbor_targets(SimilarityMatrix(anchors @ rows.T), ns, cross),
+                rtol=1e-12)
 
     def test_empty_queue_gives_unit_weights_and_no_shift(self, rng):
         # only the query queue holds rows, so gallery anchors (g2q) see an
@@ -299,7 +300,7 @@ class TestQueueMeanCentrality:
         np.testing.assert_array_equal(g2q.weights, np.ones(8))
         s = SimilarityMatrix(eg @ np.concatenate([eq, bank.vectors("query")]).T)
         ns, h = g2q.nbi
-        np.testing.assert_allclose(h, neighbor_targets(s, ns), rtol=1e-12)
+        np.testing.assert_allclose(h, neighbor_targets(s, ns, np.zeros(s.m)), rtol=1e-12)
         assert g2q.pool.shape == (32, 16)
         assert targets.directions["q2g"].pool is None
 
