@@ -54,7 +54,8 @@ def push_batch(bank: MemoryBank, batch: EmbeddingSet) -> MemoryBank:
     if batch.n > bank.capacity:
         raise BatchTooLarge(f"batch of {batch.n} exceeds capacity {bank.capacity}")
     require_unit_rows(batch.data, "bank only stores unit-norm vectors; normalize first")
-    merged = np.concatenate([bank._slots[batch.modality], batch.data.copy()], axis=0)
+    # concatenate copies, so the queue never shares memory with the batch
+    merged = np.concatenate([bank._slots[batch.modality], batch.data], axis=0)
     bank._slots[batch.modality] = merged[-bank.capacity:]
     return bank
 

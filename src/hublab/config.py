@@ -21,14 +21,9 @@ from .trainer import TrainConfig
 FORMAT_VERSION = 2
 
 
-def _key(field_name: str) -> str:
-    """The config key of a TrainConfig field: its own name, but k for report_k."""
-    return "k" if field_name == "report_k" else field_name
-
-
 DEFAULTS: dict = {
     # training, and the hubness report it writes
-    **{_key(f.name): f.default for f in fields(TrainConfig)},
+    **{f.name: f.default for f in fields(TrainConfig)},
     "probe_threshold": 0.5,
     # synthetic data
     "n_pairs": 1000,
@@ -46,10 +41,8 @@ DEFAULTS: dict = {
     "bank": None,
 }
 
-# the range of each key outside TrainConfig, which checks its own fields,
-# and of k, so that its error names the key and not the field report_k
+# the range of each key outside TrainConfig, which checks its own fields
 _RANGES = {
-    "k": (lambda v: v >= 1, "be >= 1"),
     "probe_threshold": (lambda v: -1.0 <= v <= 1.0, "lie in [-1, 1]"),
     "n_pairs": (lambda v: v >= 1, "be >= 1"),
     "dim": (lambda v: v >= 1, "be >= 1"),
@@ -126,4 +119,4 @@ def config_digest(command: str, resolved: dict) -> str:
 
 
 def train_config_from(resolved: dict) -> TrainConfig:
-    return TrainConfig(**{f.name: resolved[_key(f.name)] for f in fields(TrainConfig)})
+    return TrainConfig(**{f.name: resolved[f.name] for f in fields(TrainConfig)})

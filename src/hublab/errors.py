@@ -79,18 +79,6 @@ class MissingLabels(HubLabError, ValueError):
     pass
 
 
-class AllZero(HubLabError, ValueError):
-    pass
-
-
-class ZeroMean(HubLabError, ValueError):
-    pass
-
-
-class ZeroTotal(HubLabError, ValueError):
-    pass
-
-
 class InvalidClusterCount(HubLabError, ValueError):
     pass
 

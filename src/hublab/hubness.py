@@ -19,27 +19,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CosineBlocks, EmbeddingSet, SimilarityMatrix, require_unit_rows
-from .errors import (
-    AllZero,
-    DegenerateDistribution,
-    KTooLarge,
-    MissingLabels,
-    ZeroMean,
-    ZeroTotal,
-)
+from .errors import DegenerateDistribution, KTooLarge, MissingLabels
 
 _SIGMA_FLOOR = 1e-12
 
 
 @dataclass
 class KOccurrence:
-    """Per-gallery-item neighbor counts N_k over n_queries query rows."""
+    """Per-gallery-item neighbor counts N_k over n_queries query rows.
+
+    k and n_queries are at least 1, so the counts sum to at least 1.
+    """
 
     counts: np.ndarray
     k: int
     n_queries: int
 
     def __post_init__(self):
+        if self.k < 1 or self.n_queries < 1:
+            raise ValueError(f"k and n_queries must be >= 1, got {self.k} "
+                             f"and {self.n_queries}")
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.sum() != self.n_queries * self.k:
             raise ValueError("counts must sum to n_queries * k")
@@ -244,10 +243,7 @@ def skewness(occ: KOccurrence) -> float:
 
 def truncated_skewness(occ: KOccurrence) -> float:
     """Skewness over the positive counts only (zero-truncated)."""
-    positive = occ.counts[occ.counts > 0].astype(np.float64)
-    if positive.size == 0:
-        raise AllZero("all k-occurrence counts are zero")
-    return _population_skew(positive)
+    return _population_skew(occ.counts[occ.counts > 0].astype(np.float64))
 
 
 def atkinson(occ: KOccurrence, epsilon: float = 0.5) -> float:
@@ -260,8 +256,6 @@ def atkinson(occ: KOccurrence, epsilon: float = 0.5) -> float:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     counts = occ.counts.astype(np.float64)
     mu = counts.mean()
-    if mu <= 0:
-        raise ZeroMean("mean k-occurrence is zero")
     inner = np.where(counts > 0, counts, 0.0) ** (1.0 - epsilon)
     return float(1.0 - inner.mean() ** (1.0 / (1.0 - epsilon)) / mu)
 
@@ -270,10 +264,7 @@ def robin_hood(occ: KOccurrence) -> float:
     """Hoover index: the fraction of neighbor mass that would have to move
     to make the counts uniform, sum|N - mu| / (2 sum N)."""
     counts = occ.counts.astype(np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise ZeroTotal("total k-occurrence is zero")
-    return float(np.abs(counts - counts.mean()).sum() / (2.0 * total))
+    return float(np.abs(counts - counts.mean()).sum() / (2.0 * counts.sum()))
 
 
 def antihub_occurrence(occ: KOccurrence) -> float:

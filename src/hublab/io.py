@@ -93,7 +93,8 @@ def read_embeddings(path) -> tuple[np.ndarray, str, dict]:
     if side.exists():
         try:
             meta = json.loads(side.read_text())
-        except (OSError, ValueError) as exc:
+        # deeply nested JSON exhausts the parser's recursion limit
+        except (OSError, ValueError, RecursionError) as exc:
             raise FormatError(f"{side}: unreadable sidecar: {exc}") from exc
         if not isinstance(meta, dict):
             raise FormatError(f"{side}: sidecar must be a JSON object")

@@ -14,7 +14,6 @@ memory bank, then held fixed while the loss is differentiated.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,7 +50,14 @@ from .losses import (
     select_neighbors,
     total_loss,
 )
-from .transport import TransportPlan, blend_targets, loss_opt, sinkhorn_plan
+from .transport import (
+    SINKHORN_MAX_ITER,
+    SINKHORN_TOL,
+    TransportPlan,
+    blend_targets,
+    loss_opt,
+    sinkhorn_plan,
+)
 
 MODEL_TABLE = "embedding-table"
 MODEL_PROJECTION = "linear-projection"
@@ -70,8 +76,8 @@ class TrainConfig:
     kappa: float = 0.1
     beta: float = 0.5
     epsilon_sinkhorn: float = 0.05
-    sinkhorn_tol: float = 1e-6
-    sinkhorn_max_iter: int = 2000
+    sinkhorn_tol: float = SINKHORN_TOL
+    sinkhorn_max_iter: int = SINKHORN_MAX_ITER
     temperature: float = 1.0
     k_neighbors: int = 20
     bank_capacity: int = 10240
@@ -85,7 +91,7 @@ class TrainConfig:
     use_nbi: bool = True
     use_opt: bool = True
     neighbor_pool: str = POOL_BATCH
-    report_k: int = 15
+    k: int = 15
     hub_size_factor: float = 2.0
     atkinson_epsilon: float = 0.5
 
@@ -102,7 +108,7 @@ class TrainConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("k_neighbors", "bank_capacity", "epochs", "batch_size",
-                     "sinkhorn_max_iter", "report_k"):
+                     "sinkhorn_max_iter", "k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate < 0:
@@ -381,13 +387,9 @@ def compute_targets(config: TrainConfig, bank: MemoryBank, eq: np.ndarray,
 
     plan = None
     if config.use_opt:
-        # slow batches surface through the plan's warning flag, so
-        # the per-batch RuntimeWarning is consumed here instead of emitted
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            plan = sinkhorn_plan(SimilarityMatrix(grids.scores, config.temperature),
-                                 config.epsilon_sinkhorn, config.sinkhorn_tol,
-                                 config.sinkhorn_max_iter)
+        plan = sinkhorn_plan(SimilarityMatrix(grids.scores, config.temperature),
+                             config.epsilon_sinkhorn, config.sinkhorn_tol,
+                             config.sinkhorn_max_iter)
         # a contiguous copy, so the g2q row sums keep their bits
         plans = {"q2g": plan.q, "g2q": plan.q.T.copy()}
 
@@ -527,7 +529,7 @@ def _full_report(config: TrainConfig, model) -> HubnessReport:
     full_q, full_g = model.full_embeddings()
     s = cosine_blocks(EmbeddingSet(full_q, MODALITY_QUERY),
                       EmbeddingSet(full_g, MODALITY_GALLERY))
-    return hubness_report(s, config.report_k, config.hub_size_factor,
+    return hubness_report(s, config.k, config.hub_size_factor,
                           config.atkinson_epsilon)
 
 

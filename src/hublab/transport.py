@@ -19,7 +19,6 @@ solver; downstream losses treat the plan as a constant target.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +47,11 @@ class TransportPlan:
 # as soon as either leaves [1e-100, 1e100], which keeps a kernel entry
 # times both scalings inside float64 for any range.
 KERNEL_RANGE = 350.0
+
+# The defaults of sinkhorn_plan and of TrainConfig's sinkhorn_tol and
+# sinkhorn_max_iter. The cap leaves room for Newton steps after NEWTON_AFTER.
+SINKHORN_TOL = 1e-6
+SINKHORN_MAX_ITER = 2000
 
 # Plain sweeps after which a solve still above tol switches to Newton steps.
 # Most solves of a training run converge within this many sweeps and are
@@ -90,7 +94,8 @@ def _newton_step(k: np.ndarray, k_t: np.ndarray, u: np.ndarray,
 
 
 def sinkhorn_plan(s: SimilarityMatrix, epsilon: float,
-                  tol: float = 1e-6, max_iter: int = 200) -> TransportPlan:
+                  tol: float = SINKHORN_TOL,
+                  max_iter: int = SINKHORN_MAX_ITER) -> TransportPlan:
     """Entropic transport plan with uniform marginals via Sinkhorn scaling.
 
     Iterates alternating row/column updates until the L1 error of the row
@@ -98,7 +103,8 @@ def sinkhorn_plan(s: SimilarityMatrix, epsilon: float,
     leaves the column marginals exact up to rounding. If the cap is hit
     with a residual still above 100x tol, or the residual is not finite
     (``S / epsilon`` overflowed), raises NotConverged; otherwise a plan
-    stopped at the cap is returned with ``warning`` set.
+    stopped at the cap is returned with ``warning`` set, and no Python
+    warning is emitted.
 
     Each sweep is two matrix-vector products with the kernel
     K = exp(S / epsilon + f + g). When ``(max S - min S) / epsilon`` exceeds
@@ -166,13 +172,8 @@ def sinkhorn_plan(s: SimilarityMatrix, epsilon: float,
     residual = history[-1]
     if not residual <= 100.0 * tol:
         raise NotConverged(residual, tol)
-    warn = residual > tol
-    if warn:
-        warnings.warn(
-            f"sinkhorn stopped at residual {residual:.3e} > tol {tol:.3e}",
-            RuntimeWarning, stacklevel=2)
     return TransportPlan(u[:, None] * k * v[None, :], len(history),
-                         residual, history, warn, newton_steps)
+                         residual, history, residual > tol, newton_steps)
 
 
 def blend_targets(q: np.ndarray, beta: float) -> np.ndarray:

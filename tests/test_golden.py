@@ -28,7 +28,7 @@ RTOL = 1e-9
 # modality into a 32-row bank, so the bank fills and evicts
 BASE = dict(batch_size=8, k_neighbors=3, bank_capacity=32, epochs=3,
             epsilon_sinkhorn=0.1, sinkhorn_max_iter=5000, learning_rate=1e-2,
-            report_k=5, seed=0)
+            k=5, seed=0)
 CASES = {
     "table-full": {},
     "bank-pool": {"neighbor_pool": "bank"},

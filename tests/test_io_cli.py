@@ -1,10 +1,13 @@
 import hashlib
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hublab import EmbeddingSet
 from hublab import io as hio
@@ -78,6 +81,49 @@ class TestEmbeddingFile:
         clipped.write_bytes(good.read_bytes()[:-4])
         with pytest.raises(FormatError):
             hio.read_embeddings(clipped)
+
+
+@st.composite
+def _emb_bytes(draw):
+    """Any bytes, or a header of mixed valid and invalid fields followed by
+    a payload of about its declared length."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    n, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    header = hio._HEADER.pack(draw(st.sampled_from([hio.MAGIC, b"EMB2"])),
+                              draw(st.sampled_from([hio.VERSION, 2])), n, d,
+                              draw(st.integers(0, 2)),
+                              draw(st.sampled_from([b"\x00" * 3, b"\x00\x00\x01"])))
+    size = max(0, 4 * n * d + draw(st.sampled_from([0, 0, -1, 1])))
+    return header + draw(st.binary(min_size=size, max_size=size))
+
+
+_json = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                     lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+                     max_leaves=8)
+_sidecars = st.one_of(st.none(), st.binary(max_size=64),
+                      _json.map(lambda v: json.dumps(v).encode()),
+                      st.dictionaries(st.sampled_from(["ids", "labels"]), _json)
+                      .map(lambda v: json.dumps(v).encode()))
+
+
+class TestReaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_emb_bytes(), sidecar=_sidecars)
+    # a valid file whose sidecar nests deeper than the JSON parser's recursion
+    @example(raw=hio._HEADER.pack(hio.MAGIC, hio.VERSION, 1, 1, 0, b"\x00" * 3)
+             + np.float32(1).tobytes(), sidecar=b"[" * 100_000)
+    def test_returns_an_array_or_raises_format_error(self, raw, sidecar):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.emb"
+            path.write_bytes(raw)
+            if sidecar is not None:
+                hio.sidecar_path(path).write_bytes(sidecar)
+            try:
+                data, _, _ = hio.read_embeddings(path)
+            except FormatError:
+                return
+            assert data.ndim == 2 and np.isfinite(data).all()
 
 
 class TestConfig:
@@ -313,6 +359,25 @@ class TestCli:
         assert float(row[header.index("sinkhorn_residual")]) <= 1e-6
         assert int(row[header.index("sinkhorn_iterations")]) < 2000
 
+    def test_train_capped_solves_are_reported_quietly(self, tmp_path, capsys):
+        # 50 sweeps leave both solves between tol and 100 tol: training goes
+        # on, and the cap shows in loss_curve.csv and nowhere else
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n_pairs": 60, "dim": 8, "noise": 0.8, "epochs": 1,
+            "batch_size": 30, "bank_capacity": 64, "k_neighbors": 3, "k": 5,
+            "epsilon_sinkhorn": 0.03, "sinkhorn_tol": 1e-4,
+            "sinkhorn_max_iter": 50}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+        assert capsys.readouterr().err == ""
+        run_dir = next((tmp_path / "t").glob("train-*"))
+        curve = (run_dir / "loss_curve.csv").read_text().splitlines()
+        header, rows = curve[0].split(","), [line.split(",") for line in curve[1:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert 1e-4 < float(row[header.index("sinkhorn_residual")]) <= 1e-2
+            assert int(row[header.index("sinkhorn_iterations")]) == 50
+
     def test_train_rerun_byte_identical(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -401,6 +466,9 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
                 "--mode", "simi-cent", "--bank", str(bank)]
     if probe == "bad-sidecar":
         hio.sidecar_path(g).write_text('{"ids": ["a", ')
+        return analyze
+    if probe == "deep-sidecar":
+        hio.sidecar_path(g).write_text("[" * 100_000)
         return analyze
     if probe == "short-sidecar":
         hio.sidecar_path(g).write_text('{"ids": ["a"]}')
@@ -523,6 +591,7 @@ _PROBE_ERRORS = {
     "sidecar-label-string": r"error: \S+q\.meta\.json: labels must be a list of "
                             r"integers or nulls$",
     "config-null": r"error: noise must be a number$",
+    "deep-sidecar": r"error: \S+g\.meta\.json: unreadable sidecar: maximum recursion",
     "mode-unknown": r"error: mode must be 'simi' or 'simi-cent', got 'bogus'$",
     "out-is-file": r"error: cannot create output directory \S+/out/analyze-\w+: "
                    r"Not a directory$",
@@ -538,7 +607,8 @@ class TestBadInput:
         "simi-cent-not-unit", "sinkhorn-capped", "removed-use-kl",
         "removed-normalize-weights", "seed-negative", "label-float", "train-one-path",
         "sidecar-label-string", "config-null", "mode-unknown", "out-is-file",
-        "sinkhorn-overflow", "train-k-too-large", "label-bool", "diverge-temperature"])
+        "sinkhorn-overflow", "train-k-too-large", "label-bool", "diverge-temperature",
+        "deep-sidecar"])
     # a NumPy RuntimeWarning would print ahead of the error line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,

@@ -167,7 +167,7 @@ class TestTraining:
         data = synth_generate(8, 16, 0.0, 1.0, 0.4, 2)
         cfg = TrainConfig(batch_size=8, epochs=25, learning_rate=3e-2,
                           k_neighbors=2, bank_capacity=32, seed=0,
-                          use_nbi=False, use_opt=False, report_k=5)
+                          use_nbi=False, use_opt=False, k=5)
         result = train(cfg, data)
         s = cosine_similarity_matrix(result.queries, result.galleries)
         ev = retrieval_eval(s, data.labels)

@@ -1,9 +1,9 @@
-import warnings
+import inspect
 
 import numpy as np
 import pytest
 
-from hublab import SimilarityMatrix, blend_targets, loss_opt, sinkhorn_plan
+from hublab import SimilarityMatrix, TrainConfig, blend_targets, loss_opt, sinkhorn_plan
 from hublab.core import row_softmax
 from hublab.errors import NonSquarePlan, NotConverged, ShapeMismatch
 from hublab.transport import KERNEL_RANGE, NEWTON_AFTER, TransportPlan
@@ -64,12 +64,26 @@ class TestSinkhorn:
     def test_warning_flag_when_slow(self, rng):
         # same slow-contracting draw: a cap at the Newton switch stops it after
         # plain sweeps only, with the residual inside the warn band
-        # (tol, 100 tol], so the plan returns flagged
+        # (tol, 100 tol], so the plan returns flagged; the flag is the only
+        # signal, and pytest.ini turns any RuntimeWarning into an error
         s = SimilarityMatrix(rng.uniform(-1, 1, size=(6, 6)))
-        with pytest.warns(RuntimeWarning):
-            plan = sinkhorn_plan(s, 0.05, tol=1e-5, max_iter=NEWTON_AFTER)
+        plan = sinkhorn_plan(s, 0.05, tol=1e-5, max_iter=NEWTON_AFTER)
         assert plan.warning and 1e-5 < plan.residual <= 1e-3
         assert plan.newton_steps == 0
+
+    def test_default_cap_leaves_room_for_newton(self, rng):
+        # the same draw without a cap: the default goes past the Newton
+        # switch and finishes below tol
+        s = SimilarityMatrix(rng.uniform(-1, 1, size=(6, 6)))
+        plan = sinkhorn_plan(s, 0.05, tol=1e-5)
+        assert not plan.warning and plan.residual <= 1e-5
+        assert plan.newton_steps > 0 and plan.iterations_used > NEWTON_AFTER
+
+    def test_defaults_shared_with_train_config(self):
+        defaults = inspect.signature(sinkhorn_plan).parameters
+        config = TrainConfig()
+        assert defaults["tol"].default == config.sinkhorn_tol
+        assert defaults["max_iter"].default == config.sinkhorn_max_iter
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -162,9 +176,7 @@ def _cosine_grid(seed, n, m, ratio):
 
 
 def _solve(scores, epsilon, tol, max_iter):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return sinkhorn_plan(SimilarityMatrix(scores), epsilon, tol, max_iter)
+    return sinkhorn_plan(SimilarityMatrix(scores), epsilon, tol, max_iter)
 
 
 def _shared_top_column(rng):
