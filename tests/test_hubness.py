@@ -185,6 +185,13 @@ class TestDistributionMetrics:
             with pytest.raises(ValueError, match="must be >= 1"):
                 KOccurrence(np.zeros(3), k, n_queries)
 
+    def test_truncated_all_zero_impossible_raises(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            KOccurrence(np.zeros(3), 1, 0)
+        # the least mass a valid KOccurrence carries is one positive count
+        with pytest.warns(DegenerateDistribution):
+            assert truncated_skewness(occ([1, 0, 0], k=1, n_queries=1)) == 0.0
+
     def test_atkinson_uniform_is_zero(self):
         assert atkinson(occ([5, 5, 5], k=1)) == pytest.approx(0.0, abs=1e-12)
 
@@ -205,6 +212,13 @@ class TestDistributionMetrics:
         with pytest.raises(ValueError):
             atkinson(occ([1, 1], k=1), epsilon=1.0)
 
+    def test_atkinson_zero_mean(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            KOccurrence(np.zeros(3), 1, 0)
+        # mean 1/3 at the least mass: A = 1 - (1/3)^2 / (1/3) = 2/3
+        got = atkinson(occ([1, 0, 0], k=1, n_queries=1))
+        assert got == pytest.approx(2.0 / 3.0, abs=1e-12)
+
     def test_robin_hood_uniform_zero(self):
         assert robin_hood(occ([2, 2, 2], k=2)) == 0.0
 
@@ -217,6 +231,13 @@ class TestDistributionMetrics:
         mu = counts.mean()
         expected = np.abs(counts - mu).sum() / (2.0 * counts.sum())
         assert robin_hood(ko) == pytest.approx(expected, abs=1e-15)
+
+    def test_robin_hood_zero_total(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            KOccurrence(np.zeros(3), 1, 0)
+        # total 1 at the least mass: (2/3 + 1/3 + 1/3) / 2 = 2/3
+        got = robin_hood(occ([1, 0, 0], k=1, n_queries=1))
+        assert got == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 class TestOccurrenceMetrics:
