@@ -11,13 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MODALITIES, EmbeddingSet, opposite, require_unit_rows, row_blocks
-from .errors import (
-    BatchTooLarge,
-    DimensionMismatch,
-    EmptyBank,
-    NonFiniteLoss,
-    NonPositiveKappa,
-)
+from .errors import EmptyBank, NonFiniteLoss, OutOfRange, ShapeMismatch
 
 
 class MemoryBank:
@@ -50,9 +44,9 @@ class MemoryBank:
 def push_batch(bank: MemoryBank, batch: EmbeddingSet) -> MemoryBank:
     """Append a batch to its modality queue, evicting the oldest overflow."""
     if batch.dim != bank.dim:
-        raise DimensionMismatch(f"batch dim {batch.dim} != bank dim {bank.dim}")
+        raise ShapeMismatch(f"batch dim {batch.dim} != bank dim {bank.dim}")
     if batch.n > bank.capacity:
-        raise BatchTooLarge(f"batch of {batch.n} exceeds capacity {bank.capacity}")
+        raise OutOfRange(f"batch of {batch.n} exceeds capacity {bank.capacity}")
     require_unit_rows(batch.data, "bank only stores unit-norm vectors; normalize first")
     # concatenate copies, so the queue never shares memory with the batch
     merged = np.concatenate([bank._slots[batch.modality], batch.data], axis=0)
@@ -64,7 +58,7 @@ def _centrality(stored: np.ndarray, samples: EmbeddingSet) -> np.ndarray:
     if stored.shape[0] == 0:
         raise EmptyBank("centrality requested against an empty queue")
     if samples.dim != stored.shape[1]:
-        raise DimensionMismatch(f"sample dim {samples.dim} != bank dim {stored.shape[1]}")
+        raise ShapeMismatch(f"sample dim {samples.dim} != bank dim {stored.shape[1]}")
     norms = np.sqrt((samples.data ** 2).sum(axis=1))
     unit = samples.data / norms[:, None]
     # one block of samples at a time: the full gram would be n x fill
@@ -89,7 +83,7 @@ def centrality_weights(c: np.ndarray, kappa: float) -> np.ndarray:
     across kappa.
     """
     if not kappa > 0:
-        raise NonPositiveKappa(f"kappa must be positive, got {kappa}")
+        raise OutOfRange(f"kappa must be positive, got {kappa}")
     with np.errstate(over="ignore"):
         w = np.exp(c / kappa)
     if not np.all(np.isfinite(w)):

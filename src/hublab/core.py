@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnitNorm, ZeroVector
+from .errors import NotUnitNorm, ShapeMismatch, ZeroVector
 
 MODALITY_QUERY = "query"
 MODALITY_GALLERY = "gallery"
@@ -191,7 +191,7 @@ def cosine_blocks(q: EmbeddingSet, g: EmbeddingSet) -> CosineBlocks:
     scores[i, j] = <q_i, g_j> / (||q_i|| ||g_j||)
     """
     if q.dim != g.dim:
-        raise DimensionMismatch(f"query dim {q.dim} != gallery dim {g.dim}")
+        raise ShapeMismatch(f"query dim {q.dim} != gallery dim {g.dim}")
     return CosineBlocks(l2_normalize(q).data, l2_normalize(g).data)
 
 

@@ -18,20 +18,12 @@ class ZeroVector(HubLabError, ValueError):
         super().__init__(f"row {row} has near-zero norm and cannot be normalized")
 
 
-class DimensionMismatch(HubLabError, ValueError):
-    pass
-
-
 class ShapeMismatch(HubLabError, ValueError):
-    pass
+    """Arrays that must fit together do not: their dims, lengths or shapes differ."""
 
 
-class LengthMismatch(HubLabError, ValueError):
-    pass
-
-
-class BatchTooLarge(HubLabError, ValueError):
-    pass
+class OutOfRange(HubLabError, ValueError):
+    """A number such as k, kappa, a batch size or a fraction lies outside its range."""
 
 
 class NotUnitNorm(HubLabError, ValueError):
@@ -42,26 +34,6 @@ class EmptyBank(HubLabError, ValueError):
     pass
 
 
-class NonPositiveKappa(HubLabError, ValueError):
-    pass
-
-
-class NonSquareBatch(HubLabError, ValueError):
-    pass
-
-
-class NonSquarePlan(HubLabError, ValueError):
-    pass
-
-
-class InconsistentTargets(HubLabError, ValueError):
-    pass
-
-
-class MissingPart(HubLabError, ValueError):
-    pass
-
-
 class NotConverged(HubLabError, RuntimeError):
     """Sinkhorn residual stayed far above tolerance at the iteration cap."""
 
@@ -69,22 +41,6 @@ class NotConverged(HubLabError, RuntimeError):
         self.residual = residual
         self.tol = tol
         super().__init__(f"marginal residual {residual:.3e} exceeds 100x tol {tol:.3e}")
-
-
-class KTooLarge(HubLabError, ValueError):
-    pass
-
-
-class MissingLabels(HubLabError, ValueError):
-    pass
-
-
-class InvalidClusterCount(HubLabError, ValueError):
-    pass
-
-
-class InvalidFraction(HubLabError, ValueError):
-    pass
 
 
 class NoRelevant(HubLabError, ValueError):

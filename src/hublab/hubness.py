@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CosineBlocks, EmbeddingSet, SimilarityMatrix, require_unit_rows
-from .errors import DegenerateDistribution, KTooLarge, MissingLabels
+from .errors import DegenerateDistribution, OutOfRange, ShapeMismatch
 
 _SIGMA_FLOOR = 1e-12
 
@@ -205,7 +205,7 @@ def k_occurrence(s: SimilarityMatrix | CosineBlocks, k: int) -> KOccurrence:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > s.m:
-        raise KTooLarge(f"k={k} exceeds gallery size {s.m}")
+        raise OutOfRange(f"k={k} exceeds gallery size {s.m}")
     counts = np.zeros(s.m, dtype=np.int64)
     for _, block in s.blocks():
         counts += np.bincount(top_k_indices(block, k).ravel(), minlength=s.m)
@@ -216,9 +216,9 @@ def good_bad_occurrence(s: SimilarityMatrix, k: int,
                         labels: RelevanceLabels) -> tuple[np.ndarray, np.ndarray]:
     """Split each item's k-occurrence into relevant and irrelevant counts."""
     if labels.shape != s.scores.shape:
-        raise MissingLabels(f"labels cover {labels.shape}, scores are {s.scores.shape}")
+        raise ShapeMismatch(f"labels cover {labels.shape}, scores are {s.scores.shape}")
     if k > s.m:
-        raise KTooLarge(f"k={k} exceeds gallery size {s.m}")
+        raise OutOfRange(f"k={k} exceeds gallery size {s.m}")
     top = top_k_indices(s.scores, k)
     relevant = labels.contains(slice(0, s.n), top).ravel()
     cols = top.ravel()

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimilarityMatrix, row_log_softmax, row_softmax
-from .errors import (
-    InconsistentTargets,
-    LengthMismatch,
-    MissingPart,
-    NonFiniteLoss,
-    NonSquareBatch,
-    ShapeMismatch,
-)
+from .errors import NonFiniteLoss, ShapeMismatch
 from .hubness import top_k_indices
 
 GRAD_MODE_EXACT = "exact"
@@ -71,8 +64,8 @@ class NeighborSet:
         if self.members.ndim != 2 or self.members.shape[1] < 1:
             raise ValueError("a neighbor set needs at least one member per row")
         if self.ground_truth.shape != (self.members.shape[0],):
-            raise LengthMismatch(f"ground truths have shape {self.ground_truth.shape}, "
-                                 f"expected ({self.members.shape[0]},)")
+            raise ShapeMismatch(f"ground truths have shape {self.ground_truth.shape}, "
+                                f"expected ({self.members.shape[0]},)")
         if np.any(self.members == self.ground_truth[:, None]):
             raise ValueError("members must not contain the ground-truth index")
         ordered = np.sort(self.members, axis=1)
@@ -91,10 +84,10 @@ def loss_wti(s: SimilarityMatrix, w: np.ndarray) -> LossBundle:
     grad  =  (w_i / (B tau)) (P(j|i) - delta_ij)
     """
     if s.n != s.m:
-        raise NonSquareBatch(f"expected a square batch, got {s.n}x{s.m}")
+        raise ShapeMismatch(f"expected a square batch, got {s.n}x{s.m}")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (s.n,):
-        raise LengthMismatch(f"weight vector has shape {w.shape}, expected ({s.n},)")
+        raise ShapeMismatch(f"weight vector has shape {w.shape}, expected ({s.n},)")
     b = s.n
     logp = row_log_softmax(s.scores, s.temperature)
     per_sample = -w * np.diag(logp)
@@ -118,7 +111,7 @@ def select_neighbors(s: SimilarityMatrix, k: int,
         raise ValueError("need at least two gallery items to pick neighbors")
     gt = np.arange(s.n) if ground_truth is None else np.asarray(ground_truth, np.intp)
     if gt.shape != (s.n,):
-        raise LengthMismatch(f"ground truths have shape {gt.shape}, expected ({s.n},)")
+        raise ShapeMismatch(f"ground truths have shape {gt.shape}, expected ({s.n},)")
     if np.any((gt < 0) | (gt >= s.m)):
         raise ValueError(f"a ground-truth column lies outside [0, {s.m})")
     k = min(k, s.m - 1)
@@ -139,7 +132,7 @@ def neighbor_targets(s: SimilarityMatrix, ns: NeighborSet,
     centrality C_j and is only read at the members.
     """
     if centrality.shape != (s.m,):
-        raise LengthMismatch(
+        raise ShapeMismatch(
             f"centrality has shape {centrality.shape}, expected ({s.m},)")
     member_scores = (np.take_along_axis(s.scores, ns.members, axis=1)
                      - centrality[ns.members])
@@ -167,8 +160,8 @@ def loss_nbi(s: SimilarityMatrix, h: np.ndarray, ns: NeighborSet,
     h = np.asarray(h, dtype=np.float64)
     plus = ns.plus_indices
     if h.shape != plus.shape or plus.shape[0] != s.n:
-        raise InconsistentTargets(f"targets {h.shape} and neighbors {plus.shape} "
-                                  f"must match, with one row per anchor ({s.n})")
+        raise ShapeMismatch(f"targets {h.shape} and neighbors {plus.shape} "
+                            f"must match, with one row per anchor ({s.n})")
     logp = row_log_softmax(np.take_along_axis(s.scores, plus, axis=1), s.temperature)
     p = np.exp(logp)
     per_sample = -(h * logp).sum(axis=1)
@@ -207,16 +200,16 @@ def total_loss(parts: dict[str, dict[str, LossBundle]]) -> LossBundle:
     """Half-sum of all loss parts over both retrieval directions.
 
     ``parts`` maps direction ('q2g', 'g2q') to a mapping with exactly the
-    keys 'wti', 'nbi' and 'opt' of LOSS_PARTS, or MissingPart is raised.
+    keys 'wti', 'nbi' and 'opt' of LOSS_PARTS, or ShapeMismatch is raised.
     Gallery-to-query gradients are transposed into the query-to-gallery
     frame before combining.
     """
     for direction in DIRECTIONS:
         if direction not in parts:
-            raise MissingPart(f"missing direction {direction!r}")
+            raise ShapeMismatch(f"missing direction {direction!r}")
         if sorted(parts[direction]) != sorted(LOSS_PARTS):
-            raise MissingPart(f"direction {direction!r} has the parts "
-                              f"{sorted(parts[direction])}, expected {sorted(LOSS_PARTS)}")
+            raise ShapeMismatch(f"direction {direction!r} has the parts "
+                                f"{sorted(parts[direction])}, expected {sorted(LOSS_PARTS)}")
     value = 0.0
     grad = None
     for direction in DIRECTIONS:

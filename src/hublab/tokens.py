@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidClusterCount
+from .errors import OutOfRange, ShapeMismatch
 
 _WEIGHT_ATOL = 1e-9
 
@@ -62,7 +62,7 @@ def wti_similarity(v: TokenSet, t: TokenSet) -> float:
     value is symmetric under swapping the arguments.
     """
     if v.dim != t.dim:
-        raise DimensionMismatch(f"token dims differ: {v.dim} vs {t.dim}")
+        raise ShapeMismatch(f"token dims differ: {v.dim} vs {t.dim}")
     align = _unit_rows(v.tokens) @ _unit_rows(t.tokens).T
     v_to_t = float(v.weights @ align.max(axis=1))
     t_to_v = float(t.weights @ align.max(axis=0))
@@ -90,7 +90,7 @@ def cluster_assignments(tokens: TokenSet, c: int,
     """
     n = tokens.n
     if not 1 <= c <= n:
-        raise InvalidClusterCount(f"cluster count {c} not in [1, {n}]")
+        raise OutOfRange(f"cluster count {c} not in [1, {n}]")
     if c == n:
         return np.arange(n, dtype=np.intp)
     if k_density is None:

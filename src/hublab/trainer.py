@@ -36,7 +36,7 @@ from .core import (
     l2_normalize,
     opposite,
 )
-from .errors import DivergenceDetected, InvalidFraction, NotConverged
+from .errors import DivergenceDetected, NotConverged, OutOfRange
 from .hubness import HubnessReport, RelevanceLabels, hubness_report
 from .losses import (
     GRAD_MODE_EXACT,
@@ -160,9 +160,9 @@ def synth_generate(n_pairs: int, d: int, hub_fraction: float,
     ``contraction`` of 1.0 leaves the planted rows untouched.
     """
     if not 0.0 <= hub_fraction < 1.0:
-        raise InvalidFraction(f"hub_fraction must lie in [0, 1), got {hub_fraction}")
+        raise OutOfRange(f"hub_fraction must lie in [0, 1), got {hub_fraction}")
     if not 0.0 < contraction <= 1.0:
-        raise InvalidFraction(f"contraction must lie in (0, 1], got {contraction}")
+        raise OutOfRange(f"contraction must lie in (0, 1], got {contraction}")
     if noise < 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
     anchor_rng, z_rng, pick_rng, noise_rng = np.random.default_rng(seed).spawn(4)

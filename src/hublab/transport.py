@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SimilarityMatrix, row_log_softmax
-from .errors import NonSquarePlan, NotConverged, ShapeMismatch
+from .errors import NotConverged, ShapeMismatch
 from .losses import LossBundle
 
 
@@ -185,7 +185,7 @@ def blend_targets(q: np.ndarray, beta: float) -> np.ndarray:
     """
     b, m = q.shape
     if b != m:
-        raise NonSquarePlan(f"blending needs a square plan, got {b}x{m}")
+        raise ShapeMismatch(f"blending needs a square plan, got {b}x{m}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     scaled = q * b

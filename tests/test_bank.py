@@ -9,7 +9,7 @@ from hublab import (
     intra_centrality,
     push_batch,
 )
-from hublab.errors import BatchTooLarge, EmptyBank, NonPositiveKappa
+from hublab.errors import EmptyBank, OutOfRange
 
 from conftest import random_unit_rows
 
@@ -52,7 +52,7 @@ class TestFifo:
 
     def test_batch_too_large(self, rng):
         bank = MemoryBank(2, 3)
-        with pytest.raises(BatchTooLarge):
+        with pytest.raises(OutOfRange, match="batch of 3 exceeds capacity 2"):
             push_batch(bank, _unit_batch(rng, 3, 3))
 
     def test_rejects_unnormalized(self):
@@ -169,5 +169,5 @@ class TestWeights:
             assert small > large
 
     def test_kappa_must_be_positive(self):
-        with pytest.raises(NonPositiveKappa):
+        with pytest.raises(OutOfRange, match="kappa must be positive, got 0.0"):
             centrality_weights(np.zeros(1), 0.0)

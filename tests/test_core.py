@@ -11,7 +11,7 @@ from hublab import (
     l2_normalize,
 )
 from hublab.core import row_softmax
-from hublab.errors import DimensionMismatch, ZeroVector
+from hublab.errors import ShapeMismatch, ZeroVector
 
 from conftest import random_unit_rows
 
@@ -77,7 +77,7 @@ class TestCosineSimilarity:
     def test_dimension_mismatch(self):
         q = EmbeddingSet(np.ones((2, 3)))
         g = EmbeddingSet(np.ones((2, 4)), "gallery")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch, match="query dim 3 != gallery dim 4"):
             cosine_similarity_matrix(q, g)
 
     def test_unit_inputs_bounded(self, rng):

@@ -20,7 +20,7 @@ from hublab import (
     truncated_skewness,
 )
 from hublab.hubness import KOccurrence, RelevanceLabels, top_k_indices
-from hublab.errors import DegenerateDistribution, KTooLarge, MissingLabels
+from hublab.errors import DegenerateDistribution, OutOfRange, ShapeMismatch
 
 from conftest import random_unit_rows
 
@@ -71,7 +71,7 @@ class TestKOccurrence:
         assert got.counts.sum() == 17 * 7
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(OutOfRange, match="k=4 exceeds gallery size 3"):
             k_occurrence(SimilarityMatrix(np.zeros((2, 3))), 4)
 
     # small integer values, so most rows tie, including -0.0 against 0.0;
@@ -138,7 +138,7 @@ class TestGoodBad:
 
     def test_missing_labels(self):
         s = SimilarityMatrix(np.zeros((3, 4)))
-        with pytest.raises(MissingLabels):
+        with pytest.raises(ShapeMismatch, match=r"labels cover \(3, 3\), scores are \(3, 4\)"):
             good_bad_occurrence(s, 2, RelevanceLabels.diagonal(3))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hublab import TokenSet, cluster_assignments, dpc_knn_merge, wti_similarity
-from hublab.errors import DimensionMismatch, InvalidClusterCount
+from hublab.errors import OutOfRange, ShapeMismatch
 
 class TestWti:
     def test_identical_single_tokens(self):
@@ -42,7 +42,7 @@ class TestWti:
             assert -1.0 <= wti_similarity(v, t) <= 1.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch, match="token dims differ: 3 vs 4"):
             wti_similarity(TokenSet(np.ones((2, 3))), TokenSet(np.ones((2, 4))))
 
 
@@ -118,7 +118,7 @@ class TestDpcKnnMerge:
     def test_invalid_cluster_count(self, rng):
         tokens = TokenSet(rng.normal(size=(4, 2)))
         for c in (0, 5):
-            with pytest.raises(InvalidClusterCount):
+            with pytest.raises(OutOfRange, match=r"cluster count \d not in \[1, 4\]"):
                 dpc_knn_merge(tokens, c)
 
     def test_high_level_single_token_path(self, rng):

@@ -17,7 +17,7 @@ from hublab import (
     synth_generate,
     train,
 )
-from hublab.errors import DivergenceDetected, InvalidFraction, NonFiniteLoss
+from hublab.errors import DivergenceDetected, NonFiniteLoss, OutOfRange
 from hublab.losses import neighbor_targets
 from hublab.trainer import Adam
 
@@ -72,11 +72,11 @@ class TestSynthGenerate:
         assert c[data.planted].mean() > c[~data.planted].mean()
 
     def test_invalid_fractions(self):
-        with pytest.raises(InvalidFraction):
+        with pytest.raises(OutOfRange, match=r"hub_fraction must lie in \[0, 1\), got 1.0"):
             synth_generate(10, 4, 1.0, 0.5, 0.1, 0)
-        with pytest.raises(InvalidFraction):
+        with pytest.raises(OutOfRange, match=r"contraction must lie in \(0, 1\], got 0.0"):
             synth_generate(10, 4, 0.1, 0.0, 0.1, 0)
-        with pytest.raises(InvalidFraction):
+        with pytest.raises(OutOfRange, match=r"contraction must lie in \(0, 1\], got 1.5"):
             synth_generate(10, 4, 0.1, 1.5, 0.1, 0)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from hublab import SimilarityMatrix, TrainConfig, blend_targets, loss_opt, sinkhorn_plan
 from hublab.core import row_softmax
-from hublab.errors import NonSquarePlan, NotConverged, ShapeMismatch
+from hublab.errors import NotConverged, ShapeMismatch
 from hublab.transport import KERNEL_RANGE, NEWTON_AFTER, TransportPlan
 
 from conftest import fd_grad, max_rel_error, random_unit_rows
@@ -407,7 +407,7 @@ class TestBlendTargets:
 
     def test_non_square_rejected(self):
         plan = TransportPlan(np.full((2, 3), 1.0 / 6), 1, 0.0)
-        with pytest.raises(NonSquarePlan):
+        with pytest.raises(ShapeMismatch, match="blending needs a square plan, got 2x3"):
             blend_targets(plan.q, 0.5)
 
     def test_beta_out_of_range(self):
