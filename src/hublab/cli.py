@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -47,15 +48,36 @@ def _write_json(path: Path, command: str, resolved: dict, payload: dict) -> None
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
+def _artifact_paths(out_root, command: str, resolved: dict) -> tuple[Path, Path]:
+    """A command's artifact directory, ``<command>-<digest>``, and the hidden
+    sibling that the command writes into. ``main`` renames the sibling into
+    place only once the command has succeeded, so a command that fails part
+    way leaves no directory that looks complete."""
+    name = f"{command}-{config_digest(command, resolved)}"
+    return Path(out_root) / name, Path(out_root) / f".{name}.partial"
+
+
 def _artifact_dir(out_root, command: str, resolved: dict) -> Path:
-    digest = config_digest(command, resolved)
-    directory = Path(out_root) / f"{command}-{digest}"
+    """Create the hidden directory that a command writes its artifacts into."""
+    directory, partial = _artifact_paths(out_root, command, resolved)
     try:
-        directory.mkdir(parents=True, exist_ok=True)
+        partial.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {directory}: "
                           f"{exc.strerror}") from exc
-    return directory
+    return partial
+
+
+def _publish(partial: Path, directory: Path) -> None:
+    """Rename a finished command's artifacts into place, replacing those of an
+    earlier run of the same configuration."""
+    try:
+        if directory.is_dir():
+            shutil.rmtree(directory)
+        partial.rename(directory)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {directory}: "
+                          f"{exc.strerror}") from exc
 
 
 def _resolved(args) -> dict:
@@ -115,7 +137,7 @@ def _csv_cells(values: list) -> list:
     return cells
 
 
-def cmd_analyze(resolved: dict, out_root) -> Path:
+def cmd_analyze(resolved: dict, out_root) -> None:
     if not resolved["queries"] or not resolved["galleries"]:
         raise ConfigError("analyze needs --queries and --galleries")
     queries = hio.read_embedding_set(resolved["queries"])
@@ -130,10 +152,9 @@ def cmd_analyze(resolved: dict, out_root) -> Path:
         writer = csv.writer(fh)
         writer.writerow(["n_k", "count"])
         writer.writerows(report.histogram)
-    return out
 
 
-def cmd_train(resolved: dict, out_root) -> Path:
+def cmd_train(resolved: dict, out_root) -> None:
     if bool(resolved["queries"]) != bool(resolved["galleries"]):
         raise ConfigError("train needs both --queries and --galleries, or neither")
     if resolved["queries"]:
@@ -141,7 +162,7 @@ def cmd_train(resolved: dict, out_root) -> Path:
         data_g = hio.read_embedding_set(resolved["galleries"])
         if data_q.n != data_g.n:
             raise ConfigError("query and gallery files must pair row for row")
-        data = PairedData(data_q, data_g, RelevanceLabels.diagonal(data_q.n))
+        data = PairedData(data_q, data_g)
     else:
         data = _synthetic(resolved)
     result = train(train_config_from(resolved), data)
@@ -158,10 +179,9 @@ def cmd_train(resolved: dict, out_root) -> Path:
             writer.writerow([row[c] for c in CURVE_COLUMNS])
     hio.write_embedding_set(out / "trained_queries.emb", result.queries)
     hio.write_embedding_set(out / "trained_galleries.emb", result.galleries)
-    return out
 
 
-def cmd_retrieve(resolved: dict, out_root) -> Path:
+def cmd_retrieve(resolved: dict, out_root) -> None:
     if not resolved["queries"] or not resolved["galleries"]:
         raise ConfigError("retrieve needs --queries and --galleries")
     queries = hio.read_embedding_set(resolved["queries"])
@@ -204,10 +224,9 @@ def cmd_retrieve(resolved: dict, out_root) -> Path:
              in zip(heads, ranked, np.concatenate(top_scores).ravel().tolist())]
     with open(out / "ranked.csv", "w", newline="") as fh:
         fh.write("query_id,rank,gallery_id,score\r\n" + "".join(lines))
-    return out
 
 
-def cmd_probe(resolved: dict, out_root) -> Path:
+def cmd_probe(resolved: dict, out_root) -> None:
     if not resolved["texts"]:
         raise ConfigError("probe needs --texts")
     texts = hio.read_embedding_set(resolved["texts"])
@@ -218,10 +237,9 @@ def cmd_probe(resolved: dict, out_root) -> Path:
                  "n": labels.shape[0],
                  "m": labels.shape[1],
                  "pairs": labels.to_pairs()})
-    return out
 
 
-def cmd_simulate(resolved: dict, out_root) -> Path:
+def cmd_simulate(resolved: dict, out_root) -> None:
     data = _synthetic(resolved)
     out = _artifact_dir(out_root, "simulate", resolved)
     hio.write_embedding_set(out / "queries.emb", data.queries)
@@ -229,7 +247,6 @@ def cmd_simulate(resolved: dict, out_root) -> Path:
     _write_json(out / "simulate.json", "simulate", resolved,
                 {"n_pairs": data.n,
                  "planted": [int(i) for i in np.flatnonzero(data.planted)]})
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,11 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    partial = None
     try:
-        out = args.func(_resolved(args), args.out)
+        resolved = _resolved(args)
+        out, partial = _artifact_paths(args.out, args.command, resolved)
+        args.func(resolved, args.out)
+        _publish(partial, out)
     except HubLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if partial is not None:
+            shutil.rmtree(partial, ignore_errors=True)
     print(out)
     return 0
 

@@ -23,6 +23,11 @@ from .errors import DegenerateDistribution, OutOfRange, ShapeMismatch
 
 _SIGMA_FLOOR = 1e-12
 
+# The defaults of hub_occurrence, atkinson and hubness_report, and of
+# TrainConfig's hub_size_factor and atkinson_epsilon.
+HUB_SIZE_FACTOR = 2.0
+ATKINSON_EPSILON = 0.5
+
 
 @dataclass
 class KOccurrence:
@@ -246,7 +251,7 @@ def truncated_skewness(occ: KOccurrence) -> float:
     return _population_skew(occ.counts[occ.counts > 0].astype(np.float64))
 
 
-def atkinson(occ: KOccurrence, epsilon: float = 0.5) -> float:
+def atkinson(occ: KOccurrence, epsilon: float = ATKINSON_EPSILON) -> float:
     """Atkinson inequality index of the counts with sensitivity epsilon.
 
     A = 1 - mean(N^(1-eps))^(1/(1-eps)) / mean(N), zero counts contributing
@@ -272,7 +277,7 @@ def antihub_occurrence(occ: KOccurrence) -> float:
     return float((occ.counts == 0).mean())
 
 
-def hub_occurrence(occ: KOccurrence, hub_size_factor: float = 2.0) -> float:
+def hub_occurrence(occ: KOccurrence, hub_size_factor: float = HUB_SIZE_FACTOR) -> float:
     """Fraction of all neighbor slots taken by hubs (N_k > k * factor)."""
     counts = occ.counts
     hubs = counts > occ.k * hub_size_factor
@@ -300,8 +305,8 @@ def count_histogram(occ: KOccurrence) -> list:
 
 
 def hubness_report(s: SimilarityMatrix | CosineBlocks, k: int,
-                   hub_size_factor: float = 2.0,
-                   atkinson_epsilon: float = 0.5) -> HubnessReport:
+                   hub_size_factor: float = HUB_SIZE_FACTOR,
+                   atkinson_epsilon: float = ATKINSON_EPSILON) -> HubnessReport:
     """All six N_k statistics plus the histogram from one shared count pass."""
     occ = k_occurrence(s, k)
     return HubnessReport(

@@ -37,7 +37,12 @@ from .core import (
     opposite,
 )
 from .errors import DivergenceDetected, NotConverged, OutOfRange
-from .hubness import HubnessReport, RelevanceLabels, hubness_report
+from .hubness import (
+    ATKINSON_EPSILON,
+    HUB_SIZE_FACTOR,
+    HubnessReport,
+    hubness_report,
+)
 from .losses import (
     GRAD_MODE_EXACT,
     GRAD_MODE_PAPER,
@@ -92,8 +97,8 @@ class TrainConfig:
     use_opt: bool = True
     neighbor_pool: str = POOL_BATCH
     k: int = 15
-    hub_size_factor: float = 2.0
-    atkinson_epsilon: float = 0.5
+    hub_size_factor: float = HUB_SIZE_FACTOR
+    atkinson_epsilon: float = ATKINSON_EPSILON
 
     def __post_init__(self):
         if self.grad_mode not in (GRAD_MODE_EXACT, GRAD_MODE_PAPER):
@@ -121,7 +126,7 @@ class TrainConfig:
 
 @dataclass
 class PairedData:
-    """Matched query/gallery embeddings plus relevance labels.
+    """Matched query/gallery embeddings: query row i pairs with gallery row i.
 
     ``planted`` flags the gallery rows that were contracted toward the
     centroid by the synthetic generator (all False for imported data).
@@ -129,7 +134,6 @@ class PairedData:
 
     queries: EmbeddingSet
     galleries: EmbeddingSet
-    labels: RelevanceLabels
     planted: np.ndarray | None = None
 
     @property
@@ -195,7 +199,6 @@ def synth_generate(n_pairs: int, d: int, hub_fraction: float,
         galleries=EmbeddingSet(galleries, MODALITY_GALLERY,
                                ids=[f"g{i:05d}" for i in range(n_pairs)],
                                labels=list(classes)),
-        labels=RelevanceLabels.diagonal(n_pairs),
         planted=planted,
     )
 
@@ -476,7 +479,7 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
     adam = Adam(model.params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
-    report_before = _full_report(config, model)
+    report_before = _full_report(config, *model.full_embeddings())
     frozen = config.learning_rate == 0.0
     curve: list[dict] = []
     step = 0
@@ -512,7 +515,7 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
         exc.args = (f"{exc} at step {step}",)
         raise
 
-    report_after = _full_report(config, model)
+    report_after = _full_report(config, full_q, full_g)
     return TrainResult(
         queries=EmbeddingSet(full_q, MODALITY_QUERY, queries.ids, queries.labels),
         galleries=EmbeddingSet(full_g, MODALITY_GALLERY,
@@ -523,10 +526,10 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
     )
 
 
-def _full_report(config: TrainConfig, model) -> HubnessReport:
+def _full_report(config: TrainConfig, full_q: np.ndarray,
+                 full_g: np.ndarray) -> HubnessReport:
     """Hubness over every query and gallery row, scored a block of query
     rows at a time, so the n x n grid is never held whole."""
-    full_q, full_g = model.full_embeddings()
     s = cosine_blocks(EmbeddingSet(full_q, MODALITY_QUERY),
                       EmbeddingSet(full_g, MODALITY_GALLERY))
     return hubness_report(s, config.k, config.hub_size_factor,

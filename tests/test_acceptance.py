@@ -243,7 +243,7 @@ class TestCriterion6AblationTrend:
 
         def stats(result):
             s = cosine_similarity_matrix(result.queries, result.galleries)
-            ev = retrieval_eval(s, planted_dataset.labels)
+            ev = retrieval_eval(s, RelevanceLabels.diagonal(planted_dataset.n))
             return (result.report_after.hub_occurrence,
                     result.report_after.skewness, ev.r_at[1])
 
@@ -281,8 +281,9 @@ class TestCriterion7SimiCent:
 
         hub_raw = hublab.hubness_report(s, 15).hub_occurrence
         hub_adj = hublab.hubness_report(adjusted, 15).hub_occurrence
-        rsum_raw = retrieval_eval(s, planted_dataset.labels).rsum
-        rsum_adj = retrieval_eval(adjusted, planted_dataset.labels).rsum
+        labels = RelevanceLabels.diagonal(planted_dataset.n)
+        rsum_raw = retrieval_eval(s, labels).rsum
+        rsum_adj = retrieval_eval(adjusted, labels).rsum
         ok = hub_adj < hub_raw and abs(rsum_adj - rsum_raw) < 2.0
         report(7, ok, f"simi-cent: hub {hub_raw:.4f} -> {hub_adj:.4f} (reduced), "
                       f"Rsum {rsum_raw:.2f} -> {rsum_adj:.2f} "

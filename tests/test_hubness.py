@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -8,6 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from hublab import (
     EmbeddingSet,
     SimilarityMatrix,
+    TrainConfig,
     antihub_occurrence,
     atkinson,
     good_bad_occurrence,
@@ -19,7 +22,13 @@ from hublab import (
     skewness,
     truncated_skewness,
 )
-from hublab.hubness import KOccurrence, RelevanceLabels, top_k_indices
+from hublab.hubness import (
+    ATKINSON_EPSILON,
+    HUB_SIZE_FACTOR,
+    KOccurrence,
+    RelevanceLabels,
+    top_k_indices,
+)
 from hublab.errors import DegenerateDistribution, OutOfRange, ShapeMismatch
 
 from conftest import random_unit_rows
@@ -310,6 +319,16 @@ class TestProbe:
 
 
 class TestReport:
+    def test_defaults_shared_with_train_config(self):
+        config = TrainConfig()
+        report = inspect.signature(hubness_report).parameters
+        assert (config.hub_size_factor == HUB_SIZE_FACTOR
+                == report["hub_size_factor"].default
+                == inspect.signature(hub_occurrence).parameters["hub_size_factor"].default)
+        assert (config.atkinson_epsilon == ATKINSON_EPSILON
+                == report["atkinson_epsilon"].default
+                == inspect.signature(atkinson).parameters["epsilon"].default)
+
     def test_identity_hundred(self):
         # circulant scores: query i prefers i, i+1, ... so every gallery item
         # lands in exactly five top-5 lists

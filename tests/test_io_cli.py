@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 import tempfile
@@ -390,6 +392,27 @@ class TestCli:
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
         assert tree_digest(run_dir) == first
 
+    def test_failed_train_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        # the second .emb write fails after every other artifact is written
+        write, calls = hio.write_embedding_set, []
+
+        def fail_second(path, e):
+            calls.append(path)
+            if len(calls) == 2:
+                raise FormatError(f"{path}: disk full")
+            return write(path, e)
+
+        monkeypatch.setattr(hio, "write_embedding_set", fail_second)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_pairs": 16, "dim": 4, "batch_size": 8,
+                                   "epochs": 1, "k_neighbors": 3}))
+        out = tmp_path / "t"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert re.match(r"error: \S+trained_galleries\.emb: disk full$",
+                        capsys.readouterr().err)
+        assert len(calls) == 2
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["analyze", "retrieve", "probe", "train"])
     def test_config_paths_equal_flags(self, command, tmp_path, capsys):
         run_dir = _simulate(tmp_path)
@@ -644,3 +667,72 @@ class TestEndToEnd:
         before = json.loads((run_dir / "report_before.json").read_text())
         after = json.loads((run_dir / "report_after.json").read_text())
         assert after["report"]["hub"] < before["report"]["hub"]
+
+
+# keys that set how much work a command does
+_SIZE_KEYS = ("n_pairs", "dim", "epochs", "batch_size", "bank_capacity",
+              "k_neighbors", "k", "sinkhorn_max_iter")
+_PATH_KEYS = [key for key, value in DEFAULTS.items() if value is None]
+# the valid value of every string key, so that most draws get past the type check
+_WORDS = ["exact", "paper", "embedding-table", "linear-projection", "batch", "bank",
+          "simi", "simi-cent"]
+_FILES = ["q.emb", "g.emb", "labels.json", "absent.emb"]
+
+_scalar = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                    st.floats(-2, 2), st.text(max_size=2), st.sampled_from(_WORDS))
+# an invalid size, or a valid one of at most 16, so that train stays small
+_size = st.one_of(st.integers(max_value=16), st.floats(), st.booleans(), st.none(),
+                  st.text(max_size=2))
+# names inside the test's directory; "/" and "." would reach outside it
+_path = st.one_of(st.none(), st.integers(), st.sampled_from(_FILES),
+                  st.text(st.characters(blacklist_characters="/."), max_size=3))
+
+
+@st.composite
+def _config_docs(draw):
+    """Valid small sizes with up to four keys redrawn, or any JSON at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_json)
+    doc = {key: draw(st.integers(1, 16)) for key in _SIZE_KEYS}
+    for key in draw(st.lists(st.sampled_from([*DEFAULTS, "unknown"]), max_size=4,
+                             unique=True)):
+        doc[key] = draw(_size if key in _SIZE_KEYS else
+                        _path if key in _PATH_KEYS else _scalar)
+    return doc
+
+
+_label_docs = st.one_of(
+    _json,
+    st.fixed_dictionaries(
+        {"pairs": st.lists(st.one_of(st.lists(st.integers(-1, 4), max_size=3), _scalar),
+                           max_size=6)},
+        optional={"source": _json}))
+
+
+class TestCliFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["analyze", "retrieve", "simulate", "train"]),
+           config=_config_docs(), labels=st.one_of(st.none(), _label_docs))
+    def test_exits_0_or_2_with_one_error_line(self, command, config, labels):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            rng = np.random.default_rng(0)
+            hio.write_embeddings(tmp / "q.emb", random_unit_rows(rng, 4, 3), "query")
+            hio.write_embeddings(tmp / "g.emb", random_unit_rows(rng, 4, 3), "gallery")
+            if isinstance(config, dict):
+                config = {key: str(tmp / value) if key in _PATH_KEYS
+                          and isinstance(value, str) and value else value
+                          for key, value in config.items()}
+            (tmp / "cfg.json").write_text(json.dumps(config))
+            argv = [command, "--config", str(tmp / "cfg.json"), "--out", str(tmp / "out")]
+            if command in ("analyze", "retrieve"):
+                argv += ["--queries", str(tmp / "q.emb"), "--galleries", str(tmp / "g.emb")]
+            if command == "retrieve" and labels is not None:
+                (tmp / "labels.json").write_text(json.dumps(labels))
+                argv += ["--labels", str(tmp / "labels.json")]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        assert rc in (0, 2)
+        if rc == 2:
+            assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), err.getvalue()

@@ -6,6 +6,7 @@ from hublab import (
     EmbeddingSet,
     MemoryBank,
     PairedData,
+    RelevanceLabels,
     SimilarityMatrix,
     TrainConfig,
     centrality_weights,
@@ -170,7 +171,7 @@ class TestTraining:
                           use_nbi=False, use_opt=False, k=5)
         result = train(cfg, data)
         s = cosine_similarity_matrix(result.queries, result.galleries)
-        ev = retrieval_eval(s, data.labels)
+        ev = retrieval_eval(s, RelevanceLabels.diagonal(data.n))
         assert ev.r_at[1] == 100.0
 
     def test_unit_norm_preserved(self, tiny_data):
