@@ -710,6 +710,9 @@ _label_docs = st.one_of(
 
 
 class TestCliFuzz:
+    # inputs this small often leave N_k without spread, which hubness reports
+    # with this warning by design; a RuntimeWarning still fails the test
+    @pytest.mark.filterwarnings("ignore::hublab.errors.DegenerateDistribution")
     @settings(max_examples=100, deadline=None)
     @given(command=st.sampled_from(["analyze", "retrieve", "simulate", "train"]),
            config=_config_docs(), labels=st.one_of(st.none(), _label_docs))
