@@ -17,6 +17,7 @@ import json
 import re
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +59,14 @@ def _artifact_paths(out_root, command: str, resolved: dict) -> tuple[Path, Path]
 
 
 def _artifact_dir(out_root, command: str, resolved: dict) -> Path:
-    """Create the hidden directory that a command writes its artifacts into."""
+    """Create the empty hidden directory that a command writes its artifacts
+    into. One left behind by a killed run is removed first, so that only
+    this run's files are published."""
     directory, partial = _artifact_paths(out_root, command, resolved)
     try:
-        partial.mkdir(parents=True, exist_ok=True)
+        if partial.is_dir():
+            shutil.rmtree(partial)
+        partial.mkdir(parents=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {directory}: "
                           f"{exc.strerror}") from exc
@@ -296,19 +301,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. On success, print each distinct warning it raised as a
+    ``warning:`` line on stderr and the artifact directory on stdout, and
+    return 0; on a HubLabError, print only its ``error:`` line and return 2.
+    Warnings that the active filters turn into errors still raise."""
     args = build_parser().parse_args(argv)
     partial = None
     try:
-        resolved = _resolved(args)
-        out, partial = _artifact_paths(args.out, args.command, resolved)
-        args.func(resolved, args.out)
-        _publish(partial, out)
+        with warnings.catch_warnings(record=True) as caught:
+            resolved = _resolved(args)
+            out, partial = _artifact_paths(args.out, args.command, resolved)
+            args.func(resolved, args.out)
+            _publish(partial, out)
     except HubLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         if partial is not None:
             shutil.rmtree(partial, ignore_errors=True)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     print(out)
     return 0
 

@@ -28,14 +28,12 @@ DIRECTIONS = ("q2g", "g2q")
 class LossBundle:
     """Scalar loss plus its gradient over the similarity scores.
 
-    ``per_sample`` is an optional per-row decomposition whose mean equals
-    ``value``. ``grad_high`` is only populated by the KL loss, which
-    differentiates with respect to two score matrices.
+    ``grad_high`` is only populated by the KL loss, which differentiates
+    with respect to two score matrices.
     """
 
     value: float
     grad: np.ndarray
-    per_sample: np.ndarray | None = None
     grad_high: np.ndarray | None = None
 
     def __post_init__(self):
@@ -89,13 +87,11 @@ def loss_wti(s: SimilarityMatrix, w: np.ndarray) -> LossBundle:
     if w.shape != (s.n,):
         raise ShapeMismatch(f"weight vector has shape {w.shape}, expected ({s.n},)")
     b = s.n
-    logp = row_log_softmax(s.scores, s.temperature)
-    per_sample = -w * np.diag(logp)
-    value = per_sample.mean()
+    value = (-w * np.diag(row_log_softmax(s.scores, s.temperature))).mean()
     grad = row_softmax(s.scores, s.temperature)
     grad[np.arange(b), np.arange(b)] -= 1.0
     grad *= w[:, None] / (b * s.temperature)
-    return LossBundle(float(value), grad, per_sample)
+    return LossBundle(float(value), grad)
 
 
 def select_neighbors(s: SimilarityMatrix, k: int,
@@ -164,7 +160,6 @@ def loss_nbi(s: SimilarityMatrix, h: np.ndarray, ns: NeighborSet,
                             f"must match, with one row per anchor ({s.n})")
     logp = row_log_softmax(np.take_along_axis(s.scores, plus, axis=1), s.temperature)
     p = np.exp(logp)
-    per_sample = -(h * logp).sum(axis=1)
     if mode == GRAD_MODE_EXACT:
         local = (p * h.sum(axis=1, keepdims=True) - h) / s.temperature
     else:
@@ -172,7 +167,7 @@ def loss_nbi(s: SimilarityMatrix, h: np.ndarray, ns: NeighborSet,
     grad = np.zeros_like(s.scores)
     np.put_along_axis(grad, plus, local, axis=1)
     grad /= s.n
-    return LossBundle(float(per_sample.mean()), grad, per_sample)
+    return LossBundle(float(-(h * logp).sum(axis=1).mean()), grad)
 
 
 def loss_kl(low: SimilarityMatrix, high: SimilarityMatrix) -> LossBundle:
@@ -188,34 +183,29 @@ def loss_kl(low: SimilarityMatrix, high: SimilarityMatrix) -> LossBundle:
     logq = row_log_softmax(low.scores, low.temperature)
     logp = row_log_softmax(high.scores, high.temperature)
     p = np.exp(logp)
-    per_sample = (p * (logp - logq)).sum(axis=1)
-    value = per_sample.mean()
+    rows = (p * (logp - logq)).sum(axis=1)
     grad_low = (np.exp(logq) - p) / (n * low.temperature)
     # d/d high of sum p (log p - log q): p_j ((log p - log q)_j - KL_row)
-    grad_high = p * ((logp - logq) - per_sample[:, None]) / (n * high.temperature)
-    return LossBundle(float(value), grad_low, per_sample, grad_high=grad_high)
+    grad_high = p * ((logp - logq) - rows[:, None]) / (n * high.temperature)
+    return LossBundle(float(rows.mean()), grad_low, grad_high=grad_high)
 
 
-def total_loss(parts: dict[str, dict[str, LossBundle]]) -> LossBundle:
-    """Half-sum of all loss parts over both retrieval directions.
+def total_loss(parts: dict[str, dict[str, LossBundle]], b: int) -> LossBundle:
+    """Half-sum of the given loss parts over both retrieval directions.
 
-    ``parts`` maps direction ('q2g', 'g2q') to a mapping with exactly the
-    keys 'wti', 'nbi' and 'opt' of LOSS_PARTS, or ShapeMismatch is raised.
-    Gallery-to-query gradients are transposed into the query-to-gallery
-    frame before combining.
+    ``parts`` maps a direction ('q2g', 'g2q') to the bundles of the parts
+    that are on, by LOSS_PARTS name; an unknown part raises ShapeMismatch.
+    The sum starts from a b x b zero grid and runs q2g then g2q, each in
+    LOSS_PARTS order, with g2q gradients transposed into the q2g frame.
     """
+    value, grad = 0.0, np.zeros((b, b))
     for direction in DIRECTIONS:
-        if direction not in parts:
-            raise ShapeMismatch(f"missing direction {direction!r}")
-        if sorted(parts[direction]) != sorted(LOSS_PARTS):
+        given = parts.get(direction, {})
+        if not set(given) <= set(LOSS_PARTS):
             raise ShapeMismatch(f"direction {direction!r} has the parts "
-                                f"{sorted(parts[direction])}, expected {sorted(LOSS_PARTS)}")
-    value = 0.0
-    grad = None
-    for direction in DIRECTIONS:
+                                f"{sorted(given)}, expected some of {LOSS_PARTS}")
         for name in LOSS_PARTS:
-            bundle = parts[direction][name]
-            value += bundle.value
-            g = bundle.grad if direction == "q2g" else bundle.grad.T
-            grad = g.copy() if grad is None else grad + g
+            if name in given:
+                value += given[name].value
+                grad += given[name].grad if direction == "q2g" else given[name].grad.T
     return LossBundle(0.5 * value, 0.5 * grad)

@@ -232,15 +232,11 @@ class _Model:
     def full_embeddings(self) -> tuple[np.ndarray, np.ndarray]:
         return self.forward(slice(None))[:2]
 
-    def backward(self, idx, eq, eg, norms, grad_s, extra_q=None, extra_g=None):
-        """Parameter gradients from dL/dS, plus any direct gradients on the
-        embeddings, through the row normalization of ``forward``."""
-        d_raw = []
-        for d_e, e, extra, norm in zip((grad_s @ eg, grad_s.T @ eq), (eq, eg),
-                                       (extra_q, extra_g), norms):
-            if extra is not None:
-                d_e = d_e + extra
-            d_raw.append((d_e - (d_e * e).sum(axis=1, keepdims=True) * e) / norm)
+    def backward(self, idx, eq, eg, norms, d_eq, d_eg):
+        """Parameter gradients from dL/d(eq) and dL/d(eg), through the row
+        normalization of ``forward``."""
+        d_raw = [(d_e - (d_e * e).sum(axis=1, keepdims=True) * e) / norm
+                 for d_e, e, norm in zip((d_eq, d_eg), (eq, eg), norms)]
         return self._param_grads(idx, d_raw)
 
     def postprocess(self):
@@ -433,21 +429,19 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
     taken. Without them the grids are built here, as ``grad_check`` needs
     for perturbed embeddings.
 
-    Returns (value, per-part values, dL/dS over the batch grid, and the
-    extra embedding gradients contributed by bank-pool neighbor columns).
+    Returns (value, per-part values, dL/d(eq), dL/d(eg)), the last two
+    through the batch grid and any bank-pool neighbor columns.
     """
     if grids is None:
         grids = _StepGrids(eq @ eg.T, {})
     b = eq.shape[0]
-    zero = LossBundle(0.0, np.zeros((b, b)))  # every switched-off part
     parts = {}
-    ext = {}
+    pool_grads = {}
     for name, anchors, dir_scores in (("q2g", eq, grids.scores),
                                       ("g2q", eg, grids.scores.T)):
         target = targets.directions[name]
         s = SimilarityMatrix(dir_scores, config.temperature)
-        part = parts[name] = dict.fromkeys(LOSS_PARTS, zero)
-        ext[name] = None
+        part = parts[name] = {}
         if config.use_wti:
             part["wti"] = loss_wti(s, target.weights)
         if config.use_nbi:
@@ -459,14 +453,17 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
             # the batch columns come first, then any bank-pool columns
             part["nbi"] = LossBundle(nbi.value, nbi.grad[:, :b])
             if target.pool is not None:
-                ext[name] = 0.5 * (nbi.grad[:, b:] @ target.pool)
+                pool_grads[name] = 0.5 * (nbi.grad[:, b:] @ target.pool)
         if config.use_opt:
             part["opt"] = loss_opt(s, target.opt)
 
-    total = total_loss(parts)
+    total = total_loss(parts, b)
     part_values = {part: 0.5 * (parts["q2g"][part].value + parts["g2q"][part].value)
-                   for part in LOSS_PARTS}
-    return total.value, part_values, total.grad, ext["q2g"], ext["g2q"]
+                   if part in parts["q2g"] else 0.0 for part in LOSS_PARTS}
+    d_e = {"q2g": total.grad @ eg, "g2q": total.grad.T @ eq}
+    for name, grad in pool_grads.items():
+        d_e[name] += grad
+    return total.value, part_values, d_e["q2g"], d_e["g2q"]
 
 
 def train(config: TrainConfig, data: PairedData) -> TrainResult:
@@ -492,10 +489,10 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
                     continue
                 eq, eg, norms = model.forward(idx)
                 targets, grids = compute_targets(config, bank, eq, eg)
-                value, part_values, grad_s, ext_q, ext_g = batch_loss(
-                    config, eq, eg, targets, grids)
+                value, part_values, d_eq, d_eg = batch_loss(config, eq, eg,
+                                                            targets, grids)
                 if not frozen:
-                    grads = model.backward(idx, eq, eg, norms, grad_s, ext_q, ext_g)
+                    grads = model.backward(idx, eq, eg, norms, d_eq, d_eg)
                     adam.step(model.params, grads)
                     model.postprocess()
                 push_batch(bank, EmbeddingSet(eq, MODALITY_QUERY))
@@ -575,13 +572,12 @@ def grad_check(config: TrainConfig, data: PairedData, h: float = 1e-5) -> dict:
 
     def loss_value(cfg) -> float:
         eq, eg, _ = model.forward(idx)
-        value, _, _, _, _ = batch_loss(cfg, eq, eg, base_targets)
-        return value
+        return batch_loss(cfg, eq, eg, base_targets)[0]
 
     def analytic_grads(cfg) -> list[np.ndarray]:
         eq, eg, norms = model.forward(idx)
-        _, _, grad_s, ext_q, ext_g = batch_loss(cfg, eq, eg, base_targets)
-        return model.backward(idx, eq, eg, norms, grad_s, ext_q, ext_g)
+        return model.backward(idx, eq, eg, norms,
+                              *batch_loss(cfg, eq, eg, base_targets)[2:])
 
     if config.model == MODEL_TABLE:
         active_rows = idx

@@ -204,7 +204,6 @@ def loss_opt(s: SimilarityMatrix, q: np.ndarray) -> LossBundle:
         raise ShapeMismatch(f"target {q.shape} does not match scores {s.scores.shape}")
     n = s.n
     logp = row_log_softmax(s.scores, s.temperature)
-    per_sample = -(q * logp).sum(axis=1)
-    value = per_sample.mean()
+    value = -(q * logp).sum(axis=1).mean()
     grad = -(q - np.exp(logp)) / (n * s.temperature)
-    return LossBundle(float(value), grad, per_sample)
+    return LossBundle(float(value), grad)

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hublab
 from hublab import EmbeddingSet
 from hublab import io as hio
 from hublab.cli import build_parser, main
@@ -392,6 +396,23 @@ class TestCli:
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
         assert tree_digest(run_dir) == first
 
+    def test_stale_partial_directory_is_not_published(self, tmp_path, capsys):
+        # a run killed outright leaves its hidden directory behind; the next
+        # run of that configuration publishes only the files it wrote itself
+        run_dir = _simulate(tmp_path)
+        argv = ["analyze", "--queries", str(run_dir / "queries.emb"),
+                "--galleries", str(run_dir / "galleries.emb"), "--out",
+                str(tmp_path / "an")]
+        assert main(argv) == 0
+        published = next((tmp_path / "an").glob("analyze-*"))
+        stale = published.with_name(f".{published.name}.partial")
+        stale.mkdir()
+        (stale / "junk.txt").write_text("left by a killed run\n")
+        assert main(argv) == 0
+        assert sorted(p.name for p in published.iterdir()) == [
+            "histogram.csv", "report.json"]
+        assert sorted(p.name for p in (tmp_path / "an").iterdir()) == [published.name]
+
     def test_failed_train_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
         # the second .emb write fails after every other artifact is written
         write, calls = hio.write_embedding_set, []
@@ -645,6 +666,29 @@ class TestBadInput:
         assert not out.exists() or not any(out.rglob("*"))
 
 
+class TestCliStderr:
+    def test_warnings_print_as_warning_lines(self, tmp_path):
+        # in a subprocess, where pytest cannot capture the warning: four equal
+        # rows leave N_k without spread, which hubness reports by a warning
+        rows = np.tile([[1.0, 0.0, 0.0]], (4, 1))
+        hio.write_embeddings(tmp_path / "q.emb", rows, "query")
+        hio.write_embeddings(tmp_path / "g.emb", rows, "gallery")
+        src = str(Path(hublab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hublab.cli",
+             "analyze", "--queries", str(tmp_path / "q.emb"), "--galleries",
+             str(tmp_path / "g.emb"), "--k", "2", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert "warning: zero spread, skewness forced to 0" in lines, proc.stderr
+        assert all(line.startswith("warning: ") for line in lines), proc.stderr
+        assert len(lines) == len(set(lines))
+        assert proc.stdout == f"{next((tmp_path / 'out').glob('analyze-*'))}\n"
+
+
 class TestEndToEnd:
     def test_simulate_then_analyze_shows_planted_hubs(self, tmp_path, capsys):
         # default planted-hub generation, inspected through the CLI only
@@ -711,8 +755,8 @@ _label_docs = st.one_of(
 
 class TestCliFuzz:
     # inputs this small often leave N_k without spread, which hubness reports
-    # with this warning by design; a RuntimeWarning still fails the test
-    @pytest.mark.filterwarnings("ignore::hublab.errors.DegenerateDistribution")
+    # with a warning by design; main prints it as a warning: line, and a
+    # RuntimeWarning still fails the test
     @settings(max_examples=100, deadline=None)
     @given(command=st.sampled_from(["analyze", "retrieve", "simulate", "train"]),
            config=_config_docs(), labels=st.one_of(st.none(), _label_docs))
@@ -739,3 +783,5 @@ class TestCliFuzz:
         assert rc in (0, 2)
         if rc == 2:
             assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), err.getvalue()
+        else:
+            assert re.fullmatch(r"(warning: [^\n]*\n)*", err.getvalue()), err.getvalue()

@@ -63,10 +63,13 @@ class TestLossWti:
         b = loss_wti(SimilarityMatrix(shifted), w).value
         assert abs(a - b) < 1e-9
 
-    def test_per_sample_mean_is_value(self, rng):
+    def test_value_is_weighted_mean_of_diagonal_log_softmax(self, rng):
         scores = rng.normal(size=(4, 4))
-        out = loss_wti(SimilarityMatrix(scores), np.ones(4))
-        assert out.per_sample.mean() == pytest.approx(out.value)
+        w = rng.uniform(0.5, 2.0, size=4)
+        out = loss_wti(SimilarityMatrix(scores, temperature=0.5), w)
+        z = scores / 0.5
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        assert out.value == pytest.approx(-np.mean(w * np.diag(logp)), rel=1e-12)
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatch, match="expected a square batch, got 2x3"):
@@ -261,6 +264,27 @@ class TestLossNbi:
         out = loss_nbi(s, np.array([[1.0, 1.0]]), ns, GRAD_MODE_EXACT)
         np.testing.assert_allclose(out.grad, 0.0, atol=1e-15)
 
+    def test_stationary_at_half_targets_with_several_members(self, rng):
+        # H sums to 2 (the pinned ground truth plus members summing to 1), so
+        # the optimum is P = H / 2: plus-column scores tau log(H / 2) plus a
+        # per-row constant put the ground truth at probability 1/2
+        n, m, k, tau = 5, 11, 4, 0.7
+        ns = select_neighbors(SimilarityMatrix(rng.normal(size=(n, m)), tau), k)
+        h = neighbor_targets(SimilarityMatrix(rng.normal(size=(n, m)), tau), ns,
+                             rng.uniform(-0.5, 0.5, size=m))
+        plus = ns.plus_indices
+        scores = rng.normal(size=(n, m))
+        np.put_along_axis(scores, plus,
+                          tau * np.log(h / 2) + rng.normal(size=(n, 1)), axis=1)
+        s = SimilarityMatrix(scores, tau)
+        np.testing.assert_allclose(_restricted_softmax(scores / tau, plus)[:, 0], 0.5,
+                                   rtol=1e-14)
+        exact = loss_nbi(s, h, ns, GRAD_MODE_EXACT)
+        np.testing.assert_allclose(exact.grad, 0.0, atol=1e-15)
+        paper = loss_nbi(s, h, ns, GRAD_MODE_PAPER)
+        np.testing.assert_allclose(np.take_along_axis(paper.grad, plus, axis=1),
+                                   -h / (2 * n), rtol=1e-13, atol=1e-16)
+
     def test_inconsistent_targets(self, rng):
         s, ns, h = self._random_case(rng)
         with pytest.raises(ShapeMismatch, match="targets .* and neighbors .* must match"):
@@ -301,7 +325,6 @@ class TestBatchedNbiAgainstPerAnchor:
         members, values, grad = self._reference(scores, gts, k, h, mode, 0.7)
         np.testing.assert_array_equal(ns.members, members)
         out = loss_nbi(s, h, ns, mode)
-        np.testing.assert_allclose(out.per_sample, values, rtol=1e-12)
         assert out.value == pytest.approx(values.mean(), rel=1e-12)
         np.testing.assert_allclose(out.grad, grad / n, rtol=1e-12, atol=1e-15)
 
@@ -373,22 +396,26 @@ class TestTotalLoss:
         parts = {d: {n: self._bundle(0.0, np.zeros((2, 2)))
                      for n in ("wti", "nbi", "opt")}
                  for d in ("q2g", "g2q")}
-        out = total_loss(parts)
+        out = total_loss(parts, 2)
         assert out.value == 0.0
         np.testing.assert_array_equal(out.grad, 0.0)
+        # with every part off, the sum is the b x b zero grid
+        out = total_loss({"q2g": {}, "g2q": {}}, 4)
+        assert out.value == 0.0
+        np.testing.assert_array_equal(out.grad, np.zeros((4, 4)))
 
     def test_single_part_halved(self):
         parts = {d: {n: self._bundle(0.0, np.zeros((2, 2)))
                      for n in ("wti", "nbi", "opt")}
                  for d in ("q2g", "g2q")}
         parts["q2g"]["nbi"] = self._bundle(3.0, np.ones((2, 2)))
-        out = total_loss(parts)
+        out = total_loss(parts, 2)
         assert out.value == pytest.approx(1.5)
         np.testing.assert_allclose(out.grad, 0.5)
 
     def test_against_scalar_recombination_oracle(self, rng):
         parts = self._parts(rng)
-        out = total_loss(parts)
+        out = total_loss(parts, 3)
         value = 0.5 * sum(parts[d][n].value
                           for d in ("q2g", "g2q") for n in ("wti", "nbi", "opt"))
         grad = 0.5 * (sum(parts["q2g"][n].grad for n in ("wti", "nbi", "opt"))
@@ -397,14 +424,23 @@ class TestTotalLoss:
         np.testing.assert_allclose(out.grad, grad, atol=1e-12)
 
     def test_missing_part(self, rng):
+        # a part that is off adds nothing: the sum is bit-equal to the one
+        # with a zero part in its place
         parts = self._parts(rng)
-        del parts["g2q"]["opt"]
-        with pytest.raises(ShapeMismatch, match="direction 'g2q' has the parts"):
-            total_loss(parts)
+        zero = self._bundle(0.0, np.zeros((3, 3)))
+        for direction in ("q2g", "g2q"):
+            for name in ("wti", "nbi", "opt"):
+                given = {d: dict(parts[d]) for d in parts}
+                zeroed = {d: dict(parts[d]) for d in parts}
+                del given[direction][name]
+                zeroed[direction][name] = zero
+                out, ref = total_loss(given, 3), total_loss(zeroed, 3)
+                assert out.value == ref.value
+                np.testing.assert_array_equal(out.grad, ref.grad)
 
     def test_unknown_part(self, rng):
         # a part outside LOSS_PARTS is an error, not silently left out
         parts = self._parts(rng)
         parts["q2g"]["kl"] = self._bundle(1.0, np.ones((3, 3)))
         with pytest.raises(ShapeMismatch, match="direction 'q2g' has the parts .*'kl'"):
-            total_loss(parts)
+            total_loss(parts, 3)

@@ -19,7 +19,8 @@ from hublab import (
     train,
 )
 from hublab.errors import DivergenceDetected, NonFiniteLoss, OutOfRange
-from hublab.losses import neighbor_targets
+from hublab.losses import LossBundle, loss_nbi, loss_wti, neighbor_targets
+from hublab.transport import loss_opt
 from hublab.trainer import Adam
 
 
@@ -339,6 +340,39 @@ class TestStepGrids:
         assert shared[:2] == fresh[:2]
         for a, b in zip(shared[2:], fresh[2:]):
             np.testing.assert_array_equal(a, b)
+
+
+class TestEmbeddingGradients:
+    def test_bank_pool_step_is_grid_product_plus_pool_gradient(self, tiny_data):
+        # dL/d(eq) and dL/d(eg) equal dL/dS through S = eq eg^T plus the bank
+        # pool's NBI gradient, bit for bit, each formed as an explicit sum
+        config = small_config(neighbor_pool="bank")
+        bank = MemoryBank(config.bank_capacity, 6)
+        rows = tiny_data.queries.data[:8], tiny_data.galleries.data[8:]
+        for data, modality in zip(rows, ("query", "gallery")):
+            push_batch(bank, EmbeddingSet(data, modality))
+        eq, eg = tiny_data.queries.data[8:], tiny_data.galleries.data[:8]
+        targets, _ = tr.compute_targets(config, bank, eq, eg)
+        value, _, d_eq, d_eg = tr.batch_loss(config, eq, eg, targets)
+
+        b, scores = 8, eq @ eg.T
+        total, grad, extra = 0.0, None, {}
+        for name, anchors, dir_scores in (("q2g", eq, scores), ("g2q", eg, scores.T)):
+            t = targets.directions[name]
+            s = SimilarityMatrix(dir_scores, config.temperature)
+            cand = SimilarityMatrix(np.concatenate([dir_scores, anchors @ t.pool.T], axis=1),
+                                    config.temperature)
+            nbi = loss_nbi(cand, t.nbi[1], t.nbi[0], config.grad_mode)
+            extra[name] = 0.5 * (nbi.grad[:, b:] @ t.pool)
+            for part in (loss_wti(s, t.weights), LossBundle(nbi.value, nbi.grad[:, :b]),
+                         loss_opt(s, t.opt)):
+                total += part.value
+                g = part.grad if name == "q2g" else part.grad.T
+                grad = g.copy() if grad is None else grad + g
+        grad_s = 0.5 * grad
+        assert value == 0.5 * total
+        np.testing.assert_array_equal(d_eq, grad_s @ eg + extra["q2g"])
+        np.testing.assert_array_equal(d_eg, grad_s.T @ eq + extra["g2q"])
 
 
 class TestAdam:
