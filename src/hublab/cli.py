@@ -254,8 +254,17 @@ def cmd_simulate(resolved: dict, out_root) -> None:
                  "planted": [int(i) for i in np.flatnonzero(data.planted)]})
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ConfigError, so that ``main``
+    reports a malformed flag as one ``error:`` line; subparsers are made of
+    the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hublab",
         description="Hubness diagnostics and hubness-aware embedding training.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -305,16 +314,17 @@ def main(argv=None) -> int:
     ``warning:`` line on stderr and the artifact directory on stdout, and
     return 0; on a HubLabError, print only its ``error:`` line and return 2.
     Warnings that the active filters turn into errors still raise."""
-    args = build_parser().parse_args(argv)
     partial = None
     try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings(record=True) as caught:
             resolved = _resolved(args)
             out, partial = _artifact_paths(args.out, args.command, resolved)
             args.func(resolved, args.out)
             _publish(partial, out)
     except HubLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a path or an unknown argument may hold a line break; the error is one line
+        print("error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
     finally:
         if partial is not None:

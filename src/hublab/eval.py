@@ -66,7 +66,8 @@ def retrieval_eval(s: SimilarityMatrix | CosineBlocks, labels: RelevanceLabels,
     parts = []
     for rows, scores in s.blocks():
         top = top_k_indices(scores, width)
-        parts.append(_score_rows(scores, top, labels, rows, depth))
+        parts.append(_score_rows(scores, top, labels, np.arange(rows.start, rows.stop),
+                                 r[rows], depth))
         if each_block is not None:
             each_block(scores, top)
     best_rank, average_precision, r_precision = map(np.concatenate, zip(*parts))
@@ -82,24 +83,22 @@ def retrieval_eval(s: SimilarityMatrix | CosineBlocks, labels: RelevanceLabels,
 
 
 def _score_rows(scores: np.ndarray, top: np.ndarray, labels: RelevanceLabels,
-                rows: slice, depth: int):
+                rows: np.ndarray, r: np.ndarray, depth: int):
     """Per-row best relevant rank, average precision at R and R-Precision of
-    the block ``scores`` of query rows ``rows``.
+    the block ``scores`` of query rows ``rows``, which have ``r`` relevant
+    columns each.
 
     ``top`` holds each row's best columns in rank order, at least ``depth``
     of them. ``depth`` is the largest R over all rows, so that every block
     sums rows of the same length.
     """
-    indptr = labels.indptr[rows.start:rows.stop + 1]
-    r = np.diff(indptr)
     hits = labels.contains(rows, top)
     # the first relevant column in rank order is the best relevant one; a
     # row with none in ``top`` counts its rank over the whole row
     best_rank = hits.argmax(axis=1) + 1
     missed = np.flatnonzero(~hits.any(axis=1))
     if missed.size:
-        best_rank[missed] = _count_rank(scores[missed], labels.indices, indptr[missed],
-                                        r[missed])
+        best_rank[missed] = _count_rank(scores[missed], labels, rows[missed], r[missed])
     # mAP@R and R-Precision read only each row's own top R
     positions = np.arange(1, depth + 1)
     hits = hits[:, :depth] & (positions <= r[:, None])
@@ -107,14 +106,15 @@ def _score_rows(scores: np.ndarray, top: np.ndarray, labels: RelevanceLabels,
     return best_rank, (precision * hits).sum(axis=1) / r, hits.sum(axis=1) / r
 
 
-def _count_rank(scores: np.ndarray, indices: np.ndarray, starts: np.ndarray,
+def _count_rank(scores: np.ndarray, labels: RelevanceLabels, rows: np.ndarray,
                 r: np.ndarray) -> np.ndarray:
-    """The stable-sort rank of each row's best relevant column, the columns
-    of row i being ``indices[starts[i]:starts[i] + r[i]]``, ascending."""
+    """The stable-sort rank of each row's best relevant column, ``scores[i]``
+    being query row ``rows[i]``, whose ``r[i]`` relevant keys form one run."""
     # gather every row's relevant columns and their scores into segments
     seg_starts = np.cumsum(r) - r
+    starts = np.searchsorted(labels.keys, rows * labels.shape[1])
     at = np.arange(r.sum()) + np.repeat(starts - seg_starts, r)
-    cols = indices[at]
+    cols = labels.keys[at] % labels.shape[1]
     values = scores[np.repeat(np.arange(len(r)), r), cols]
     # the best relevant column: highest score, lowest index on ties
     best_score = np.maximum.reduceat(values, seg_starts)

@@ -53,37 +53,32 @@ class KOccurrence:
 
 @dataclass
 class RelevanceLabels:
-    """Query-by-gallery relevance as index lists (CSR): row i's relevant
-    gallery columns are ``indices[indptr[i]:indptr[i + 1]]``, ascending and
-    without repeats, on a grid of ``shape`` (n, m)."""
+    """Query-by-gallery relevance on a grid of ``shape`` (n, m), held as the
+    int64 keys ``row * m + column`` of the relevant pairs, strictly ascending,
+    so each row's relevant columns form one ascending run of keys."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    keys: np.ndarray
     shape: tuple
     source: str = "ground-truth"
 
     def __post_init__(self):
-        self.indptr = np.asarray(self.indptr, dtype=np.int64)
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        keys = np.asarray(self.keys)
         self.shape = tuple(int(v) for v in self.shape)
         if len(self.shape) != 2:
             raise ValueError(f"expected a 2-D grid, got shape {self.shape}")
-        if self.indptr.shape != (self.shape[0] + 1,) or self.indptr[-1] != self.indices.size:
-            raise ValueError(f"indptr does not index {self.indices.size} columns "
-                             f"over {self.shape[0]} rows")
+        if keys.ndim != 1 or (keys.size and keys.dtype.kind not in "iu"):
+            raise ValueError(f"expected a 1-D array of integer keys, got {keys.shape}")
+        self.keys = keys = np.asarray(keys, dtype=np.int64)
+        if keys.size and (keys[0] < 0 or keys[-1] >= self.shape[0] * self.shape[1]
+                          or (np.diff(keys) <= 0).any()):
+            raise ValueError(f"keys must ascend strictly inside the "
+                             f"{self.shape[0]}x{self.shape[1]} grid")
         if self.source not in ("ground-truth", "pseudo-positive"):
             raise ValueError(f"unknown label source {self.source!r}")
 
     @classmethod
     def diagonal(cls, n: int) -> "RelevanceLabels":
-        return cls(np.arange(n + 1), np.arange(n), (n, n))
-
-    @classmethod
-    def _from_keys(cls, keys: np.ndarray, shape, source: str) -> "RelevanceLabels":
-        """Labels from ascending, distinct keys row * m + column."""
-        rows, cols = np.divmod(keys, shape[1])
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
-        return cls(indptr, cols, shape, source)
+        return cls(np.arange(n) * (n + 1), (n, n))
 
     @classmethod
     def from_pairs(cls, pairs, shape, source: str = "ground-truth") -> "RelevanceLabels":
@@ -103,7 +98,7 @@ class RelevanceLabels:
             bad = outside[0]
             raise IndexError(f"pair ({i[bad]}, {j[bad]}) outside the "
                              f"{shape[0]}x{shape[1]} grid")
-        return cls._from_keys(np.unique(i * shape[1] + j), shape, source)
+        return cls(np.unique(i * shape[1] + j), shape, source)
 
     @classmethod
     def from_mask(cls, mask, source: str = "ground-truth") -> "RelevanceLabels":
@@ -111,39 +106,30 @@ class RelevanceLabels:
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 2:
             raise ValueError(f"expected a 2-D mask, got shape {mask.shape}")
-        return cls._from_keys(np.flatnonzero(mask), mask.shape, source)
+        return cls(np.flatnonzero(mask), mask.shape, source)
 
     def counts(self) -> np.ndarray:
         """The number of relevant columns of each row."""
-        return np.diff(self.indptr)
+        n, m = self.shape
+        return np.diff(np.searchsorted(self.keys, np.arange(n + 1) * m))
 
-    def keys(self, rows: slice = slice(None)) -> np.ndarray:
-        """row * m + column of every relevant pair in ``rows``, ascending."""
-        lo, hi, _ = rows.indices(self.shape[0])
-        counts = np.diff(self.indptr[lo:hi + 1])
-        return (np.repeat(np.arange(lo, hi) * self.shape[1], counts)
-                + self.indices[self.indptr[lo]:self.indptr[hi]])
-
-    def contains(self, rows: slice, columns: np.ndarray) -> np.ndarray:
-        """Whether ``columns[i, t]`` is relevant to query row ``rows.start + i``,
-        for a block of consecutive ``rows``."""
-        keys = self.keys(rows)
-        if keys.size == 0:
+    def contains(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Whether ``columns[i, t]`` is relevant to query row ``rows[i]``."""
+        if self.keys.size == 0:
             return np.zeros(columns.shape, dtype=bool)
-        lo, hi, _ = rows.indices(self.shape[0])
-        probe = np.arange(lo, hi)[:, None] * self.shape[1] + columns
-        return keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe
+        probe = np.asarray(rows)[:, None] * self.shape[1] + columns
+        at = np.minimum(np.searchsorted(self.keys, probe), self.keys.size - 1)
+        return self.keys[at] == probe
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense n x m boolean mask, built on each access."""
         mask = np.zeros(self.shape, dtype=bool)
-        mask.ravel()[self.keys()] = True
+        mask.ravel()[self.keys] = True
         return mask
 
     def to_pairs(self) -> list:
-        rows = np.repeat(np.arange(self.shape[0]), self.counts())
-        return np.stack([rows, self.indices], axis=1).tolist()
+        return np.stack(np.divmod(self.keys, self.shape[1]), axis=1).tolist()
 
 
 @dataclass
@@ -217,18 +203,21 @@ def k_occurrence(s: SimilarityMatrix | CosineBlocks, k: int) -> KOccurrence:
     return KOccurrence(counts, k, s.n)
 
 
-def good_bad_occurrence(s: SimilarityMatrix, k: int,
+def good_bad_occurrence(s: SimilarityMatrix | CosineBlocks, k: int,
                         labels: RelevanceLabels) -> tuple[np.ndarray, np.ndarray]:
-    """Split each item's k-occurrence into relevant and irrelevant counts."""
-    if labels.shape != s.scores.shape:
-        raise ShapeMismatch(f"labels cover {labels.shape}, scores are {s.scores.shape}")
+    """Split each item's k-occurrence into relevant and irrelevant counts,
+    one block of query rows at a time."""
+    if labels.shape != (s.n, s.m):
+        raise ShapeMismatch(f"labels cover {labels.shape}, scores are {(s.n, s.m)}")
     if k > s.m:
         raise OutOfRange(f"k={k} exceeds gallery size {s.m}")
-    top = top_k_indices(s.scores, k)
-    relevant = labels.contains(slice(0, s.n), top).ravel()
-    cols = top.ravel()
-    return (np.bincount(cols[relevant], minlength=s.m),
-            np.bincount(cols[~relevant], minlength=s.m))
+    good, bad = np.zeros((2, s.m), dtype=np.int64)
+    for rows, block in s.blocks():
+        top = top_k_indices(block, k)
+        relevant = labels.contains(np.arange(rows.start, rows.stop), top)
+        good += np.bincount(top[relevant], minlength=s.m)
+        bad += np.bincount(top[~relevant], minlength=s.m)
+    return good, bad
 
 
 def _population_skew(values: np.ndarray) -> float:

@@ -112,10 +112,12 @@ class TrainConfig:
         for name in ("kappa", "epsilon_sinkhorn", "sinkhorn_tol", "temperature"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("k_neighbors", "bank_capacity", "epochs", "batch_size",
-                     "sinkhorn_max_iter", "k"):
+        for name in ("k_neighbors", "bank_capacity", "epochs", "sinkhorn_max_iter", "k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # a batch of one row has no contrast and takes no step
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if self.seed < 0:
@@ -468,6 +470,8 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
 
 def train(config: TrainConfig, data: PairedData) -> TrainResult:
     """Run the optimization loop and report hubness before and after."""
+    if data.n < 2:
+        raise OutOfRange(f"train needs at least 2 pairs, got {data.n}")
     queries = l2_normalize(data.queries)
     galleries = l2_normalize(data.galleries)
     n, d = queries.data.shape

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hublab.core
 from hublab import (
@@ -173,8 +175,8 @@ class TestRelevanceLabels:
     def test_from_pairs_counts_a_repeated_pair_once(self):
         pairs = [[2, 1], [0, 3], [2, 1], [0, 0], [0, 3]]
         labels = RelevanceLabels.from_pairs(pairs, (3, 4))
-        np.testing.assert_array_equal(labels.indptr, [0, 2, 2, 3])
-        np.testing.assert_array_equal(labels.indices, [0, 3, 1])
+        # keys row * 4 + column of (0, 0), (0, 3) and (2, 1)
+        np.testing.assert_array_equal(labels.keys, [0, 3, 9])
         assert labels.to_pairs() == [[0, 0], [0, 3], [2, 1]]
         expected = np.zeros((3, 4), dtype=bool)
         expected[[2, 0, 0], [1, 3, 0]] = True
@@ -186,8 +188,7 @@ class TestRelevanceLabels:
         np.testing.assert_array_equal(labels.matrix, mask)
         assert labels.to_pairs() == np.argwhere(mask).tolist()
         again = RelevanceLabels.from_pairs(labels.to_pairs(), (9, 7))
-        np.testing.assert_array_equal(again.indptr, labels.indptr)
-        np.testing.assert_array_equal(again.indices, labels.indices)
+        np.testing.assert_array_equal(again.keys, labels.keys)
         np.testing.assert_array_equal(RelevanceLabels.diagonal(5).matrix,
                                       np.eye(5, dtype=bool))
 
@@ -203,6 +204,61 @@ class TestRelevanceLabels:
         relevant = np.take_along_axis(mask, top, axis=1)
         np.testing.assert_array_equal(good, np.bincount(top[relevant], minlength=25))
         np.testing.assert_array_equal(bad, np.bincount(top[~relevant], minlength=25))
+
+    def test_good_bad_occurrence_reads_blocks(self, monkeypatch, rng):
+        # 5 blocks of 4 query rows, against the dense matrix and the mask oracle
+        monkeypatch.setattr(hublab.core, "BLOCK_ROWS", 4)
+        s = CosineBlocks(random_unit_rows(rng, 20, 6), random_unit_rows(rng, 25, 6))
+        assert len(hublab.core.row_blocks(s.n)) >= 3
+        scores = np.concatenate([block.copy() for _, block in s.blocks()])
+        mask = rng.uniform(size=(20, 25)) < 0.2
+        labels = RelevanceLabels.from_mask(mask)
+        good, bad = good_bad_occurrence(s, 6, labels)
+        dense = good_bad_occurrence(SimilarityMatrix(scores), 6, labels)
+        np.testing.assert_array_equal(good, dense[0])
+        np.testing.assert_array_equal(bad, dense[1])
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :6]
+        relevant = np.take_along_axis(mask, top, axis=1)
+        np.testing.assert_array_equal(good, np.bincount(top[relevant], minlength=25))
+        np.testing.assert_array_equal(bad, np.bincount(top[~relevant], minlength=25))
+
+    @pytest.mark.parametrize("keys", [[3, 1], [1, 1], [-1, 2], [0, 12], [[0, 1]],
+                                      [0.0, 1.0]])
+    def test_constructor_rejects_malformed_keys(self, keys):
+        # descending, repeated, negative, outside the 3x4 grid, 2-D, not integers
+        with pytest.raises(ValueError):
+            RelevanceLabels(np.array(keys), (3, 4))
+
+    def test_contains_on_rows_out_of_order_agrees_with_matrix(self, rng):
+        mask = rng.uniform(size=(12, 9)) < 0.3
+        labels = RelevanceLabels.from_mask(mask)
+        rows = np.array([7, 0, 11, 7, 3])
+        columns = rng.integers(0, 9, size=(5, 6))
+        np.testing.assert_array_equal(labels.contains(rows, columns),
+                                      labels.matrix[rows[:, None], columns])
+        empty = RelevanceLabels(np.zeros(0, dtype=np.int64), (12, 9))
+        assert not empty.contains(rows, columns).any()
+
+    def test_counts_on_rows_without_labels(self):
+        # rows 0, 2, 3 and 5 have no label, the first and the last among them
+        labels = RelevanceLabels.from_pairs([[1, 0], [1, 4], [4, 2]], (6, 5))
+        np.testing.assert_array_equal(labels.counts(), [0, 2, 0, 0, 1, 0])
+        np.testing.assert_array_equal(RelevanceLabels.from_pairs([], (3, 2)).counts(),
+                                      [0, 0, 0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
+    def test_pairs_round_trip_against_mask_oracle(self, shape, data):
+        # repeated pairs and rows without any pair, both drawn
+        pair = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+        pairs = data.draw(st.lists(pair, max_size=20))
+        mask = np.zeros(shape, dtype=bool)
+        for i, j in pairs:
+            mask[i, j] = True
+        labels = RelevanceLabels.from_pairs([list(p) for p in pairs], shape)
+        assert labels.to_pairs() == np.argwhere(mask).tolist()
+        np.testing.assert_array_equal(labels.matrix, mask)
+        np.testing.assert_array_equal(labels.counts(), mask.sum(axis=1))
 
 
 class TestInferSimiCent:

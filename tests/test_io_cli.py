@@ -477,6 +477,18 @@ class TestCli:
                 if action.dest not in ("help", "config", "out"):
                     assert action.dest in DEFAULTS, (name, action.dest)
 
+    def test_parser_errors_are_error_lines_and_help_exits_0(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().err == ("error: the following arguments are "
+                                           "required: command\n")
+        # an unknown argument holding a line break still makes one line
+        assert main(["simulate", "--mode", "a\nb"]) == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --mode a b\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert "--k K" in capsys.readouterr().out
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nonsense": 1}))
@@ -608,6 +620,19 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         # the artifacts root that the test passes with --out
         (tmp_path / "out").write_text("")
         return analyze + ["--k", "2"]
+    if probe in ("train-batch-1", "train-one-pair"):
+        # neither run could take a single training step
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train-batch-1": {"n_pairs": 40, "batch_size": 1},
+                                   "train-one-pair": {"n_pairs": 1, "k": 1}}[probe]
+                                  | {"dim": 8, "epochs": 1}))
+        return ["train", "--config", str(cfg)]
+    if probe == "flag-not-int":
+        return analyze + ["--k", "abc"]
+    if probe == "missing-command":
+        # the --out that the test appends is read as an unknown flag, and its
+        # value as the command
+        return []
     if probe == "mode-unknown":
         return ["retrieve", "--queries", str(q), "--galleries", str(g), "--mode", "bogus"]
     assert probe == "missing-file"
@@ -639,6 +664,10 @@ _PROBE_ERRORS = {
     "mode-unknown": r"error: mode must be 'simi' or 'simi-cent', got 'bogus'$",
     "out-is-file": r"error: cannot create output directory \S+/out/analyze-\w+: "
                    r"Not a directory$",
+    "train-batch-1": r"error: batch_size must be >= 2$",
+    "train-one-pair": r"error: train needs at least 2 pairs, got 1$",
+    "flag-not-int": r"error: argument --k: invalid int value: 'abc'$",
+    "missing-command": r"error: argument command: invalid choice: '\S+/out' ",
 }
 
 
@@ -652,7 +681,8 @@ class TestBadInput:
         "removed-normalize-weights", "seed-negative", "label-float", "train-one-path",
         "sidecar-label-string", "config-null", "mode-unknown", "out-is-file",
         "sinkhorn-overflow", "train-k-too-large", "label-bool", "diverge-temperature",
-        "deep-sidecar"])
+        "deep-sidecar", "train-batch-1", "train-one-pair", "flag-not-int",
+        "missing-command"])
     # a NumPy RuntimeWarning would print ahead of the error line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,
@@ -753,19 +783,29 @@ _label_docs = st.one_of(
         optional={"source": _json}))
 
 
+# any short string, or one that some flag accepts
+_flag_values = st.one_of(st.text(max_size=4), st.integers(-2, 6).map(str),
+                         st.sampled_from(["simi", "simi-cent", "0.5", "-1", "nan", "1e9"]))
+
+
 class TestCliFuzz:
     # inputs this small often leave N_k without spread, which hubness reports
     # with a warning by design; main prints it as a warning: line, and a
     # RuntimeWarning still fails the test
-    @settings(max_examples=100, deadline=None)
-    @given(command=st.sampled_from(["analyze", "retrieve", "simulate", "train"]),
-           config=_config_docs(), labels=st.one_of(st.none(), _label_docs))
-    def test_exits_0_or_2_with_one_error_line(self, command, config, labels):
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["analyze", "probe", "retrieve", "simulate", "train"]),
+           config=_config_docs(), labels=st.one_of(st.none(), _label_docs),
+           flags=st.dictionaries(st.sampled_from(["--k", "--seed", "--mode", "--threshold"]),
+                                 _flag_values, max_size=2))
+    # "-h" after a flag that simulate does not take is a request for help
+    @example(command="simulate", config={}, labels=None, flags={"--k": "-h"})
+    def test_exits_0_or_2_with_one_error_line(self, command, config, labels, flags):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             rng = np.random.default_rng(0)
             hio.write_embeddings(tmp / "q.emb", random_unit_rows(rng, 4, 3), "query")
             hio.write_embeddings(tmp / "g.emb", random_unit_rows(rng, 4, 3), "gallery")
+            hio.write_embeddings(tmp / "t.emb", random_unit_rows(rng, 4, 3), "query")
             if isinstance(config, dict):
                 config = {key: str(tmp / value) if key in _PATH_KEYS
                           and isinstance(value, str) and value else value
@@ -777,9 +817,17 @@ class TestCliFuzz:
             if command == "retrieve" and labels is not None:
                 (tmp / "labels.json").write_text(json.dumps(labels))
                 argv += ["--labels", str(tmp / "labels.json")]
+            if command == "probe":
+                argv += ["--texts", str(tmp / "t.emb")]
+            # a flag that the command does not take is an error too
+            for flag, value in flags.items():
+                argv += [flag, value]
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                rc = main(argv)
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:  # only --help exits, with code 0
+                    rc = exc.code
         assert rc in (0, 2)
         if rc == 2:
             assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), err.getvalue()
