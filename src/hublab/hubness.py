@@ -9,6 +9,17 @@ counts histogram.
 All neighbor selection is exact; ties break toward the lower gallery
 index so results are reproducible across platforms: ``top_k_indices``
 partitions out each row's k best columns and sorts them stably.
+
+A row of m >= PRUNE_COLUMNS_PER_K * k columns is pruned first. Its first
+c * g columns fall into g = m // c strided groups (j, j + g, ...,
+j + (c - 1) g) of c = _GROUP_WIDTH columns. Only the k groups whose maxima
+reach t, the k-th largest group maximum, are partitioned, along with the
+m - c * g columns that fit no group. This is exact: those k maxima are k
+distinct columns, so the row's k-th score is at least t, and every column
+of another group scores below t, so it can neither enter the top k nor tie
+with the k-th score. A row where more than k groups reach t, or where a
+group maximum is NaN, is partitioned whole. Narrower rows are always
+partitioned whole; there, finding the best groups costs more than it saves.
 """
 
 from __future__ import annotations
@@ -27,6 +38,11 @@ _SIGMA_FLOOR = 1e-12
 # TrainConfig's hub_size_factor and atkinson_epsilon.
 HUB_SIZE_FACTOR = 2.0
 ATKINSON_EPSILON = 0.5
+
+# top_k_indices prunes a row by groups of _GROUP_WIDTH columns when it has
+# at least PRUNE_COLUMNS_PER_K columns per wanted one
+_GROUP_WIDTH = 8
+PRUNE_COLUMNS_PER_K = 64
 
 
 @dataclass
@@ -66,6 +82,8 @@ class RelevanceLabels:
         self.shape = tuple(int(v) for v in self.shape)
         if len(self.shape) != 2:
             raise ValueError(f"expected a 2-D grid, got shape {self.shape}")
+        if min(self.shape) < 0:
+            raise ValueError(f"grid dimensions must be >= 0, got {self.shape}")
         if keys.ndim != 1 or (keys.size and keys.dtype.kind not in "iu"):
             raise ValueError(f"expected a 1-D array of integer keys, got {keys.shape}")
         self.keys = keys = np.asarray(keys, dtype=np.int64)
@@ -170,13 +188,52 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Row-wise top-k column indices by descending score, ties to lower index,
     equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``.
 
-    ``np.argpartition`` finds each row's k best columns, which get a stable
-    sort in column order. A row whose k-th score also appears outside them,
-    and every row when k is outside (0, m), is sorted in full.
+    A row of at least ``PRUNE_COLUMNS_PER_K * k`` columns first drops every
+    column outside its k best groups (see the module docstring). What is
+    left goes to ``_partition_top_k``; when k is outside (0, m), the rows
+    are sorted in full.
     """
-    m = scores.shape[1]
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    n, m = scores.shape
     if not 0 < k < m:
         return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    if m < PRUNE_COLUMNS_PER_K * k:
+        return _partition_top_k(scores, k)
+    c, g = _GROUP_WIDTH, m // _GROUP_WIDTH
+    group_max = scores[:, :c * g].reshape(n, c, g).max(axis=1)
+    # the partition ranks NaN above every number, so a row with a NaN group
+    # maximum gets t = NaN, which no group reaches
+    t = np.partition(group_max, g - k, axis=1)[:, g - k:].min(axis=1)
+    reach = group_max >= t[:, None]
+    pruned = reach.sum(axis=1) == k
+    rows = np.flatnonzero(pruned)
+    # each row's k groups in ascending order, then their columns (and the
+    # columns past c * g) in ascending column order, so ties still go to
+    # the lower column
+    groups = (np.flatnonzero(reach[pruned]) % g).reshape(rows.size, k)
+    cols = (groups[:, None, :] + g * np.arange(c)[:, None]).reshape(rows.size, c * k)
+    if c * g < m:
+        cols = np.concatenate(
+            [cols, np.broadcast_to(np.arange(c * g, m), (rows.size, m - c * g))], axis=1)
+    kept = np.take(scores, cols + (rows * m)[:, None])
+    top = np.take_along_axis(cols, _partition_top_k(kept, k), axis=1)
+    if rows.size == n:
+        return top
+    out = np.empty((n, k), dtype=top.dtype)
+    out[pruned] = top
+    out[~pruned] = _partition_top_k(scores[~pruned], k)
+    return out
+
+
+def _partition_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """``top_k_indices`` for 0 < k < m without pruning.
+
+    ``np.argpartition`` finds each row's k best columns, which get a stable
+    sort in column order. A row whose k-th score also appears outside them
+    is sorted in full.
+    """
+    m = scores.shape[1]
     kept = np.sort(np.argpartition(scores, m - k, axis=1)[:, m - k:], axis=1)
     kept_scores = np.take_along_axis(scores, kept, axis=1)
     top = np.take_along_axis(kept, np.argsort(-kept_scores, axis=1, kind="stable"),
@@ -207,6 +264,8 @@ def good_bad_occurrence(s: SimilarityMatrix | CosineBlocks, k: int,
                         labels: RelevanceLabels) -> tuple[np.ndarray, np.ndarray]:
     """Split each item's k-occurrence into relevant and irrelevant counts,
     one block of query rows at a time."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if labels.shape != (s.n, s.m):
         raise ShapeMismatch(f"labels cover {labels.shape}, scores are {(s.n, s.m)}")
     if k > s.m:

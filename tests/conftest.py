@@ -37,6 +37,22 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def partition_widths(monkeypatch) -> list:
+    """The width of every score block that top_k_indices partitions."""
+    from hublab import hubness
+
+    widths = []
+    partition = hubness._partition_top_k
+
+    def spy(scores, k):
+        widths.append(scores.shape[1])
+        return partition(scores, k)
+
+    monkeypatch.setattr(hubness, "_partition_top_k", spy)
+    return widths
+
+
 def random_unit_rows(rng, n, d):
     x = rng.normal(size=(n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)

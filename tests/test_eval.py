@@ -229,6 +229,12 @@ class TestRelevanceLabels:
         with pytest.raises(ValueError):
             RelevanceLabels(np.array(keys), (3, 4))
 
+    def test_constructor_rejects_a_negative_grid(self):
+        with pytest.raises(ValueError, match=r"grid dimensions must be >= 0, got \(-2, 3\)"):
+            RelevanceLabels(np.zeros(0, dtype=np.int64), (-2, 3))
+        with pytest.raises(ValueError, match="must be >= 0"):
+            RelevanceLabels.from_pairs([], (3, -1))
+
     def test_contains_on_rows_out_of_order_agrees_with_matrix(self, rng):
         mask = rng.uniform(size=(12, 9)) < 0.3
         labels = RelevanceLabels.from_mask(mask)

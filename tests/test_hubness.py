@@ -25,6 +25,7 @@ from hublab import (
 from hublab.hubness import (
     ATKINSON_EPSILON,
     HUB_SIZE_FACTOR,
+    PRUNE_COLUMNS_PER_K,
     KOccurrence,
     RelevanceLabels,
     top_k_indices,
@@ -98,11 +99,75 @@ class TestKOccurrence:
             assert got.shape == (scores.shape[0], k)
             np.testing.assert_array_equal(got, reference[:, :k])
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            top_k_indices(np.eye(4), -1)
+        assert top_k_indices(np.eye(4), 0).shape == (4, 0)
+
     def test_monotone_transform_invariance(self, rng):
         scores = rng.normal(size=(20, 20))
         a = k_occurrence(SimilarityMatrix(scores), 4).counts
         b = k_occurrence(SimilarityMatrix(2.0 * scores + 3.0), 4).counts
         np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def wide_rows(draw):
+    """1-4 rows of 64-600 columns and a k with m >= PRUNE_COLUMNS_PER_K * k.
+
+    Each row holds k to 3k spikes from a small set of values over a lower
+    background, so the k-th score ties inside a group, across groups and at
+    a group maximum. Half the spikes land in the first four groups of a
+    width-8 split, so one group often holds several of them.
+    """
+    k = draw(st.integers(1, 600 // PRUNE_COLUMNS_PER_K))
+    m = draw(st.integers(PRUNE_COLUMNS_PER_K * k, 600))
+    n = draw(st.integers(1, 4))
+    g = m // 8
+    column = st.one_of(st.integers(0, m - 1),
+                       st.builds(lambda j, i: min(i * g + j, m - 1),
+                                 st.integers(0, 3), st.integers(0, 8)))
+    spike = st.tuples(column, st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan]))
+    scores = np.empty((n, m))
+    for row in scores:
+        row[:] = draw(st.sampled_from([-np.inf, -1.0, -0.0]))
+        for j, v in draw(st.lists(spike, min_size=k, max_size=3 * k)):
+            row[j] = v
+    return scores, k
+
+
+class TestPrunedTopK:
+    @given(wide_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_stable_argsort(self, drawn):
+        scores, k = drawn
+        reference = np.argsort(-scores, axis=1, kind="stable")
+        for j in range(1, k + 1):
+            np.testing.assert_array_equal(top_k_indices(scores, j), reference[:, :j])
+
+    @pytest.mark.parametrize("m, k, prunes", [(3000, 15, True), (3000, 10, True),
+                                              (1152, 21, False), (512, 15, False),
+                                              (128, 15, False)])
+    def test_gate(self, partition_widths, rng, m, k, prunes):
+        scores = rng.normal(size=(3, m))
+        np.testing.assert_array_equal(top_k_indices(scores, k),
+                                      np.argsort(-scores, axis=1, kind="stable")[:, :k])
+        assert partition_widths == [8 * k if prunes else m]
+
+    def test_tied_rows_prune_or_fall_back(self, partition_widths):
+        # m = 203: 25 groups of 8 columns, columns 200-202 in no group; k = 3
+        scores = np.zeros((6, 203))
+        scores[0, [1, 4, 29, 7]] = [5, 3, 3, 2]  # the k-th score ties inside group 4
+        scores[1, [2, 5, 9, 30]] = 4  # group maxima tie at t, group 5 twice
+        scores[2, [0, 201, 26]] = [5, 5, 1]  # a column past the groups ties the best
+        scores[3, [3, 6]] = [7, -1]  # t is the background, every group reaches it
+        scores[4, [1, 2, 3, 10]] = [9, 8, 7, np.nan]  # a NaN group maximum
+        scores[5, [8, 33, 58, 83]] = [1, 1, 1, 1]  # four groups tie at t
+        top = top_k_indices(scores, 3)
+        np.testing.assert_array_equal(top, np.argsort(-scores, axis=1, kind="stable")[:, :3])
+        np.testing.assert_array_equal(top[:3], [[1, 4, 29], [2, 5, 9], [0, 201, 26]])
+        # rows 0-2 keep 3 groups of 8 plus 3 ungrouped columns; 3-5 go whole
+        assert partition_widths == [3 * 8 + 3, 203]
 
 
 class TestGoodBad:
@@ -144,6 +209,11 @@ class TestGoodBad:
         s = SimilarityMatrix(scores)
         good, bad = good_bad_occurrence(s, 4, labels)
         np.testing.assert_array_equal(good + bad, k_occurrence(s, 4).counts)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            good_bad_occurrence(SimilarityMatrix(np.eye(3)), k, RelevanceLabels.diagonal(3))
 
     def test_missing_labels(self):
         s = SimilarityMatrix(np.zeros((3, 4)))

@@ -497,6 +497,58 @@ class TestCli:
         assert "unknown config key" in capsys.readouterr().err
 
 
+class TestCliAtPruningSize:
+    """``analyze`` and ``retrieve`` on 1000 gallery rows, wide enough for
+    ``top_k_indices`` to prune every row (1000 >= 64 * 15), against a
+    brute-force stable argsort of the scores the program's own blocks make."""
+
+    def test_artifacts_equal_stable_argsort(self, tmp_path, capsys, partition_widths):
+        import csv
+        from hublab.hubness import PRUNE_COLUMNS_PER_K
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_pairs": 1000, "dim": 16, "noise": 1.0}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        run_dir = next((tmp_path / "sim").glob("simulate-*"))
+        q_path, g_path = run_dir / "queries.emb", run_dir / "galleries.emb"
+        assert 1000 >= PRUNE_COLUMNS_PER_K * 15
+        inputs = ["--queries", str(q_path), "--galleries", str(g_path)]
+        assert main(["analyze", *inputs, "--k", "15", "--out", str(tmp_path / "an")]) == 0
+        assert main(["retrieve", *inputs, "--mode", "simi-cent",
+                     "--out", str(tmp_path / "ret")]) == 0
+        # every block of both commands took the pruned path, none the whole row
+        assert max(partition_widths) == 8 * 15 and min(partition_widths) == 8 * 10
+
+        def dense(s):
+            return np.concatenate([block.copy() for _, block in s.blocks()])
+
+        queries, galleries = hio.read_embedding_set(q_path), hio.read_embedding_set(g_path)
+        scores = dense(hublab.cosine_blocks(queries, galleries))
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :15]
+        counts = np.bincount(top.ravel(), minlength=1000)
+        values, freqs = np.unique(counts, return_counts=True)
+        an_dir = next((tmp_path / "an").glob("analyze-*"))
+        with open(an_dir / "histogram.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [[str(v), str(c)] for v, c in zip(values, freqs)]
+        report = json.loads((an_dir / "report.json").read_text())["report"]
+        assert report["hub"] == float(counts[counts > 15 * 2.0].sum() / (1000 * 15))
+
+        bank = hublab.MemoryBank(1000, 16)
+        hublab.push_batch(bank, EmbeddingSet(hio.read_embeddings(g_path)[0], "gallery"))
+        scores = dense(hublab.infer_simi_cent(hublab.cosine_blocks(queries, galleries),
+                                              galleries, bank))
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :10]
+        with open(tmp_path / "expected.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["query_id", "rank", "gallery_id", "score"])
+            for i, row in enumerate(top):
+                writer.writerows([queries.ids[i], rank, galleries.ids[j],
+                                  repr(float(scores[i, j]))]
+                                 for rank, j in enumerate(row, 1))
+        ret_dir = next((tmp_path / "ret").glob("retrieve-*"))
+        assert (ret_dir / "ranked.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
     """Write the bad input of one probe; return the command that reads it."""
     q, g = tmp_path / "q.emb", tmp_path / "g.emb"
