@@ -38,19 +38,19 @@ def rng():
 
 
 @pytest.fixture
-def partition_widths(monkeypatch) -> list:
-    """The width of every score block that top_k_indices partitions."""
+def partition_shapes(monkeypatch) -> list:
+    """The shape of every score block that top_k_indices partitions."""
     from hublab import hubness
 
-    widths = []
+    shapes = []
     partition = hubness._partition_top_k
 
     def spy(scores, k):
-        widths.append(scores.shape[1])
+        shapes.append(scores.shape)
         return partition(scores, k)
 
     monkeypatch.setattr(hubness, "_partition_top_k", spy)
-    return widths
+    return shapes
 
 
 def random_unit_rows(rng, n, d):

@@ -148,26 +148,26 @@ class TestPrunedTopK:
     @pytest.mark.parametrize("m, k, prunes", [(3000, 15, True), (3000, 10, True),
                                               (1152, 21, False), (512, 15, False),
                                               (128, 15, False)])
-    def test_gate(self, partition_widths, rng, m, k, prunes):
+    def test_gate(self, partition_shapes, rng, m, k, prunes):
         scores = rng.normal(size=(3, m))
         np.testing.assert_array_equal(top_k_indices(scores, k),
                                       np.argsort(-scores, axis=1, kind="stable")[:, :k])
-        assert partition_widths == [8 * k if prunes else m]
+        assert partition_shapes == [(3, 8 * k if prunes else m)]
 
-    def test_tied_rows_prune_or_fall_back(self, partition_widths):
+    def test_tied_rows_prune_or_fall_back(self, partition_shapes):
         # m = 203: 25 groups of 8 columns, columns 200-202 in no group; k = 3
         scores = np.zeros((6, 203))
         scores[0, [1, 4, 29, 7]] = [5, 3, 3, 2]  # the k-th score ties inside group 4
         scores[1, [2, 5, 9, 30]] = 4  # group maxima tie at t, group 5 twice
-        scores[2, [0, 201, 26]] = [5, 5, 1]  # a column past the groups ties the best
+        scores[2, [0, 201, 26, 52]] = [5, 5, 1, 2]  # a column past the groups ties the best
         scores[3, [3, 6]] = [7, -1]  # t is the background, every group reaches it
         scores[4, [1, 2, 3, 10]] = [9, 8, 7, np.nan]  # a NaN group maximum
-        scores[5, [8, 33, 58, 83]] = [1, 1, 1, 1]  # four groups tie at t
+        scores[5, [8, 9, 10, 11]] = 1  # four groups tie at t
         top = top_k_indices(scores, 3)
         np.testing.assert_array_equal(top, np.argsort(-scores, axis=1, kind="stable")[:, :3])
-        np.testing.assert_array_equal(top[:3], [[1, 4, 29], [2, 5, 9], [0, 201, 26]])
+        np.testing.assert_array_equal(top[:3], [[1, 4, 29], [2, 5, 9], [0, 201, 52]])
         # rows 0-2 keep 3 groups of 8 plus 3 ungrouped columns; 3-5 go whole
-        assert partition_widths == [3 * 8 + 3, 203]
+        assert partition_shapes == [(3, 3 * 8 + 3), (3, 203)]
 
 
 class TestGoodBad:

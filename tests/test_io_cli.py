@@ -502,7 +502,7 @@ class TestCliAtPruningSize:
     ``top_k_indices`` to prune every row (1000 >= 64 * 15), against a
     brute-force stable argsort of the scores the program's own blocks make."""
 
-    def test_artifacts_equal_stable_argsort(self, tmp_path, capsys, partition_widths):
+    def test_artifacts_equal_stable_argsort(self, tmp_path, capsys, partition_shapes):
         import csv
         from hublab.hubness import PRUNE_COLUMNS_PER_K
 
@@ -516,8 +516,9 @@ class TestCliAtPruningSize:
         assert main(["analyze", *inputs, "--k", "15", "--out", str(tmp_path / "an")]) == 0
         assert main(["retrieve", *inputs, "--mode", "simi-cent",
                      "--out", str(tmp_path / "ret")]) == 0
-        # every block of both commands took the pruned path, none the whole row
-        assert max(partition_widths) == 8 * 15 and min(partition_widths) == 8 * 10
+        # every row of both commands took the pruned path, none the whole row
+        assert {width for _, width in partition_shapes} == {8 * 15, 8 * 10}
+        assert sum(rows for rows, _ in partition_shapes) == 2 * 1000
 
         def dense(s):
             return np.concatenate([block.copy() for _, block in s.blocks()])
