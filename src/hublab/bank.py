@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MODALITIES, EmbeddingSet, opposite, require_unit_rows, row_blocks
+from .core import MODALITIES, CosineBlocks, EmbeddingSet, opposite, require_unit_rows
 from .errors import EmptyBank, NonFiniteLoss, OutOfRange, ShapeMismatch
 
 
@@ -62,8 +62,8 @@ def _centrality(stored: np.ndarray, samples: EmbeddingSet) -> np.ndarray:
     norms = np.sqrt((samples.data ** 2).sum(axis=1))
     unit = samples.data / norms[:, None]
     # one block of samples at a time: the full gram would be n x fill
-    values = np.concatenate([(unit[rows] @ stored.T).mean(axis=1)
-                             for rows in row_blocks(samples.n)])
+    values = np.concatenate([scores.mean(axis=1)
+                             for _, scores in CosineBlocks(unit, stored).blocks()])
     return np.clip(values, -1.0, 1.0)
 
 

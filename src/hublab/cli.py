@@ -193,8 +193,9 @@ def cmd_retrieve(resolved: dict, out_root) -> None:
     galleries = hio.read_embedding_set(resolved["galleries"])
     s = cosine_blocks(queries, galleries)
     if resolved["mode"] == "simi-cent":
-        bank_path = resolved["bank"] or resolved["galleries"]
-        bank_data, bank_modality, _ = hio.read_embeddings(bank_path)
+        bank_data, bank_modality = galleries.data, galleries.modality
+        if resolved["bank"]:
+            bank_data, bank_modality, _ = hio.read_embeddings(resolved["bank"])
         if bank_modality != MODALITY_GALLERY:
             raise ConfigError("simi-cent bank must hold gallery-side embeddings")
         bank = MemoryBank(max(bank_data.shape[0], 1), galleries.dim)

@@ -15,6 +15,7 @@ memory bank, then held fixed while the loss is differentiated.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -249,6 +250,8 @@ class _TableModel(_Model):
     """One learnable vector per sample, renormalized after every step."""
 
     def __init__(self, queries: EmbeddingSet, galleries: EmbeddingSet):
+        # the rows arrive unit; normalizing them once more is not a no-op
+        # in the last bit, and the trained tables keep the bits it gives
         self.params = [l2_normalize(e).data.copy() for e in (queries, galleries)]
 
     def _raw(self, idx):
@@ -279,7 +282,14 @@ class _ProjectionModel(_Model):
         return [feats[idx].T @ rows for feats, rows in zip(self.feats, d_raw)]
 
 
-def _build_model(config: TrainConfig, queries, galleries):
+def _build_model(config: TrainConfig, data: PairedData) -> _Model:
+    """The configured model over the unit rows of both sides. Every batch
+    goes into the bank, so one larger than the bank fails here, before any work."""
+    batch = min(config.batch_size, data.n)
+    if batch > config.bank_capacity:
+        raise OutOfRange(f"bank_capacity {config.bank_capacity} is smaller than a batch "
+                         f"of {batch} rows (batch_size {config.batch_size})")
+    queries, galleries = l2_normalize(data.queries), l2_normalize(data.galleries)
     if config.model == MODEL_TABLE:
         return _TableModel(queries, galleries)
     return _ProjectionModel(queries, galleries)
@@ -472,11 +482,8 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
     """Run the optimization loop and report hubness before and after."""
     if data.n < 2:
         raise OutOfRange(f"train needs at least 2 pairs, got {data.n}")
-    queries = l2_normalize(data.queries)
-    galleries = l2_normalize(data.galleries)
-    n, d = queries.data.shape
-    model = _build_model(config, queries, galleries)
-    bank = MemoryBank(config.bank_capacity, d)
+    model = _build_model(config, data)
+    bank = MemoryBank(config.bank_capacity, data.queries.dim)
     adam = Adam(model.params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
@@ -486,8 +493,8 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
     step = 0
     try:
         for _ in range(config.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
+            order = rng.permutation(data.n)
+            for start in range(0, data.n, config.batch_size):
                 idx = order[start: start + config.batch_size]
                 if idx.size < 2:
                     continue
@@ -518,9 +525,10 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
 
     report_after = _full_report(config, full_q, full_g)
     return TrainResult(
-        queries=EmbeddingSet(full_q, MODALITY_QUERY, queries.ids, queries.labels),
+        queries=EmbeddingSet(full_q, MODALITY_QUERY,
+                             data.queries.ids, data.queries.labels),
         galleries=EmbeddingSet(full_g, MODALITY_GALLERY,
-                               galleries.ids, galleries.labels),
+                               data.galleries.ids, data.galleries.labels),
         loss_curve=curve,
         report_before=report_before,
         report_after=report_after,
@@ -559,12 +567,9 @@ def grad_check(config: TrainConfig, data: PairedData, h: float = 1e-5) -> dict:
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"step h must lie in [1e-7, 1e-3], got {h}")
-    queries = l2_normalize(data.queries)
-    galleries = l2_normalize(data.galleries)
-    n = queries.n
-    idx = np.arange(min(config.batch_size, n))
-    model = _build_model(config, queries, galleries)
-    bank = MemoryBank(config.bank_capacity, queries.dim)
+    model = _build_model(config, data)
+    idx = np.arange(min(config.batch_size, data.n))
+    bank = MemoryBank(config.bank_capacity, data.queries.dim)
     eq0, eg0, _ = model.forward(idx)
     push_batch(bank, EmbeddingSet(eq0, MODALITY_QUERY))
     push_batch(bank, EmbeddingSet(eg0, MODALITY_GALLERY))
@@ -574,41 +579,27 @@ def grad_check(config: TrainConfig, data: PairedData, h: float = 1e-5) -> dict:
     all_on = replace(config, **dict.fromkeys(toggles, True))
     base_targets, _ = compute_targets(all_on, bank, eq0, eg0)
 
-    def loss_value(cfg) -> float:
-        eq, eg, _ = model.forward(idx)
-        return batch_loss(cfg, eq, eg, base_targets)[0]
-
-    def analytic_grads(cfg) -> list[np.ndarray]:
-        eq, eg, norms = model.forward(idx)
-        return model.backward(idx, eq, eg, norms,
-                              *batch_loss(cfg, eq, eg, base_targets)[2:])
-
-    if config.model == MODEL_TABLE:
-        active_rows = idx
-    else:
-        active_rows = None  # every projection entry matters
-
     terms = {part: replace(config, **{flag: flag == f"use_{part}" for flag in toggles})
              for part in LOSS_PARTS}
     terms["total"] = config
     errors = {}
     for name, cfg in terms.items():
-        analytic = analytic_grads(cfg)
+        eq, eg, norms = model.forward(idx)
+        analytic = model.backward(idx, eq, eg, norms,
+                                  *batch_loss(cfg, eq, eg, base_targets)[2:])
         numeric = [np.zeros_like(p) for p in model.params]
         for p, num in zip(model.params, numeric):
-            if active_rows is not None and p.shape[0] >= len(queries.data):
-                rows = active_rows
-            else:
-                rows = range(p.shape[0])
-            for r in rows:
-                for cidx in range(p.shape[1]):
-                    keep = p[r, cidx]
-                    p[r, cidx] = keep + h
-                    up = loss_value(cfg)
-                    p[r, cidx] = keep - h
-                    down = loss_value(cfg)
-                    p[r, cidx] = keep
-                    num[r, cidx] = (up - down) / (2.0 * h)
+            # a table row outside the batch cannot move the loss; every
+            # projection entry can
+            rows = idx if config.model == MODEL_TABLE else range(p.shape[0])
+            for entry in product(rows, range(p.shape[1])):
+                keep = p[entry]
+                ends = []
+                for step in (h, -h):
+                    p[entry] = keep + step
+                    ends.append(batch_loss(cfg, *model.forward(idx)[:2], base_targets)[0])
+                p[entry] = keep
+                num[entry] = (ends[0] - ends[1]) / (2.0 * h)
         errors[name] = max(
             _max_rel_error(a, f) for a, f in zip(analytic, numeric))
     return errors

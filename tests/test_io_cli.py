@@ -673,11 +673,13 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         # the artifacts root that the test passes with --out
         (tmp_path / "out").write_text("")
         return analyze + ["--k", "2"]
-    if probe in ("train-batch-1", "train-one-pair"):
-        # neither run could take a single training step
+    if probe in ("train-batch-1", "train-one-pair", "train-batch-over-bank"):
+        # none of these runs could take a single training step
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"train-batch-1": {"n_pairs": 40, "batch_size": 1},
-                                   "train-one-pair": {"n_pairs": 1, "k": 1}}[probe]
+                                   "train-one-pair": {"n_pairs": 1, "k": 1},
+                                   "train-batch-over-bank": {"n_pairs": 64, "batch_size": 32,
+                                                             "bank_capacity": 16}}[probe]
                                   | {"dim": 8, "epochs": 1}))
         return ["train", "--config", str(cfg)]
     if probe == "flag-not-int":
@@ -719,6 +721,8 @@ _PROBE_ERRORS = {
                    r"Not a directory$",
     "train-batch-1": r"error: batch_size must be >= 2$",
     "train-one-pair": r"error: train needs at least 2 pairs, got 1$",
+    "train-batch-over-bank": r"error: bank_capacity 16 is smaller than a batch of 32 "
+                             r"rows \(batch_size 32\)$",
     "flag-not-int": r"error: argument --k: invalid int value: 'abc'$",
     "missing-command": r"error: argument command: invalid choice: '\S+/out' ",
 }
@@ -734,8 +738,8 @@ class TestBadInput:
         "removed-normalize-weights", "seed-negative", "label-float", "train-one-path",
         "sidecar-label-string", "config-null", "mode-unknown", "out-is-file",
         "sinkhorn-overflow", "train-k-too-large", "label-bool", "diverge-temperature",
-        "deep-sidecar", "train-batch-1", "train-one-pair", "flag-not-int",
-        "missing-command"])
+        "deep-sidecar", "train-batch-1", "train-one-pair", "train-batch-over-bank",
+        "flag-not-int", "missing-command"])
     # a NumPy RuntimeWarning would print ahead of the error line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,

@@ -1,6 +1,7 @@
 """The traced benchmark (``benchmarks/run.py --trace 1``) wraps hublab names
 through ``benchmarks/spans.py``; a rename that breaks it must fail here."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -83,5 +84,32 @@ def test_traced_retrieve_counts_top_r(tmp_path, capsys, rng):
     assert metrics["hubness.topk_calls"] == 1
     assert metrics["hubness.topk_keep_ratio"] == 10 / 12
     assert metrics["bank.centrality_calls"] == 1
+    # each file's float32 payload is read once; the default bank reuses the galleries
+    assert metrics["io.bytes_read"] == 2 * 12 * 4 * 4
     assert metrics["eval.retrieval_s"] > 0
     assert metrics["eval.simi_cent_s"] > 0
+
+
+def test_unused_imports_are_only_names_the_spans_wrap():
+    """An import that no code of its module reads is dead, unless the spans
+    wrap it there by name."""
+    spans = _load_spans()
+    recorder = spans.SpanRecorder()
+    spans.install(recorder)
+    wrapped = {(module.__name__, attr) for module, attr, _ in recorder._patches}
+    recorder.uninstall()
+    dead = set()
+    for path in sorted(Path(hublab.cli.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        dead |= {(f"hublab.{path.stem}", name) for name in imported - used}
+    assert dead <= wrapped, sorted(dead - wrapped)

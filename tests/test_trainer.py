@@ -117,6 +117,30 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(small_config(), tiny_data, h=1e-2)
 
+    def test_sees_a_dropped_bank_pool_gradient(self, tiny_data, monkeypatch):
+        # the NBI grid's columns past the batch are the bank pool's
+        real = tr.loss_nbi
+
+        def no_pool_grad(s, h, ns, mode):
+            bundle = real(s, h, ns, mode)
+            grad = bundle.grad.copy()
+            grad[:, grad.shape[0]:] = 0.0
+            return LossBundle(bundle.value, grad)
+
+        monkeypatch.setattr(tr, "loss_nbi", no_pool_grad)
+        assert grad_check(small_config(neighbor_pool="bank"), tiny_data)["nbi"] > 1e-3
+
+    def test_sees_a_dropped_batch_row(self, tiny_data, monkeypatch):
+        real = tr._TableModel._param_grads
+
+        def drop_first_row(self, idx, d_raw):
+            grads = real(self, idx, d_raw)
+            grads[0][idx[0]] = 0.0
+            return grads
+
+        monkeypatch.setattr(tr._TableModel, "_param_grads", drop_first_row)
+        assert grad_check(small_config(), tiny_data)["total"] > 1e-3
+
 
 class TestStationaryPoint:
     def test_fixed_point_errors_below_1e8(self, tiny_data):
@@ -223,6 +247,23 @@ class TestTraining:
         with pytest.raises(DivergenceDetected, match=r"at step 0$") as info:
             train(small_config(temperature=1e-300), tiny_data)
         assert type(info.value) is DivergenceDetected
+
+    @pytest.mark.parametrize("run", [train, grad_check])
+    def test_batch_over_bank_capacity_fails_before_any_work(self, tiny_data, monkeypatch,
+                                                            run):
+        def spy(*args):
+            raise AssertionError("work began before the capacity check")
+
+        monkeypatch.setattr(tr, "hubness_report", spy)
+        monkeypatch.setattr(tr, "push_batch", spy)
+        with pytest.raises(OutOfRange, match=r"^bank_capacity 4 is smaller than a batch "
+                                             r"of 8 rows \(batch_size 8\)$"):
+            run(small_config(bank_capacity=4), tiny_data)
+
+    def test_batch_size_over_capacity_fits_when_the_data_does(self, tiny_data):
+        # 16 pairs make one batch of 16, which a bank of 16 holds
+        result = train(small_config(batch_size=32, bank_capacity=16, epochs=1), tiny_data)
+        assert len(result.loss_curve) == 1
 
     def test_projection_model_trains(self, tiny_data):
         result = train(small_config(model="linear-projection", epochs=1),
