@@ -2,10 +2,11 @@
 
 ``main`` resolves the configuration once: defaults, then the ``--config``
 file, then the flags, whose names are config keys. Each command takes that
-mapping, writes every artifact into a directory named after the command
-and the configuration digest, and stamps the resolved configuration plus a
-format version into each JSON output. Repeating a command with the same
-resolved configuration reproduces the artifacts byte for byte.
+mapping and returns its artifacts, ``{file name: content}``, without writing
+anything. ``_publish`` writes them all into a directory named after the
+command and the configuration digest, and stamps the resolved configuration
+plus a format version into each JSON output. Repeating a command with the
+same resolved configuration reproduces the artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -42,49 +43,6 @@ from .hubness import RelevanceLabels, hubness_report, pseudo_positive_probe
 from .trainer import CURVE_COLUMNS, PairedData, synth_generate, train
 
 
-def _write_json(path: Path, command: str, resolved: dict, payload: dict) -> None:
-    doc = {"format_version": FORMAT_VERSION, "command": command,
-           "config": resolved}
-    doc.update(payload)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
-def _artifact_paths(out_root, command: str, resolved: dict) -> tuple[Path, Path]:
-    """A command's artifact directory, ``<command>-<digest>``, and the hidden
-    sibling that the command writes into. ``main`` renames the sibling into
-    place only once the command has succeeded, so a command that fails part
-    way leaves no directory that looks complete."""
-    name = f"{command}-{config_digest(command, resolved)}"
-    return Path(out_root) / name, Path(out_root) / f".{name}.partial"
-
-
-def _artifact_dir(out_root, command: str, resolved: dict) -> Path:
-    """Create the empty hidden directory that a command writes its artifacts
-    into. One left behind by a killed run is removed first, so that only
-    this run's files are published."""
-    directory, partial = _artifact_paths(out_root, command, resolved)
-    try:
-        if partial.is_dir():
-            shutil.rmtree(partial)
-        partial.mkdir(parents=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {directory}: "
-                          f"{exc.strerror}") from exc
-    return partial
-
-
-def _publish(partial: Path, directory: Path) -> None:
-    """Rename a finished command's artifacts into place, replacing those of an
-    earlier run of the same configuration."""
-    try:
-        if directory.is_dir():
-            shutil.rmtree(directory)
-        partial.rename(directory)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {directory}: "
-                          f"{exc.strerror}") from exc
-
-
 def _resolved(args) -> dict:
     """Defaults, the --config file, then each flag given (a left-out flag is None)."""
     file_config = load_config_file(args.config) if args.config else None
@@ -119,6 +77,48 @@ def _load_labels(path, shape) -> RelevanceLabels:
         raise ConfigError(f"{path}: bad label pairs: {exc}") from exc
 
 
+def _publish(out_root, command: str, resolved: dict, artifacts: dict) -> Path:
+    """Write a command's artifacts into ``<command>-<digest>`` under ``out_root``
+    and return that directory. A dict is a JSON payload, stamped with the
+    format version, the command and the resolved configuration; an
+    EmbeddingSet is an ``.emb`` file; a string is text. Every file goes into a
+    hidden sibling, emptied first if a killed run left one, that replaces an
+    earlier run's directory only once all are written, so a failed command
+    leaves no directory that looks complete."""
+    name = f"{command}-{config_digest(command, resolved)}"
+    directory, partial = Path(out_root) / name, Path(out_root) / f".{name}.partial"
+    try:
+        if partial.is_dir():
+            shutil.rmtree(partial)
+        partial.mkdir(parents=True)
+        for file_name, content in artifacts.items():
+            path = partial / file_name
+            if isinstance(content, EmbeddingSet):
+                hio.write_embedding_set(path, content)
+            elif isinstance(content, str):
+                path.write_text(content, newline="")
+            else:
+                doc = {"format_version": FORMAT_VERSION, "command": command,
+                       "config": resolved, **content}
+                path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        if directory.is_dir():
+            shutil.rmtree(directory)
+        partial.rename(directory)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {directory}: "
+                          f"{exc.strerror}") from exc
+    finally:
+        shutil.rmtree(partial, ignore_errors=True)
+    return directory
+
+
+def _csv_text(rows) -> str:
+    """Rows as csv.writer writes them."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
 # rows per query in ranked.csv
 RANKED_TOP = 10
 
@@ -142,7 +142,7 @@ def _csv_cells(values: list) -> list:
     return cells
 
 
-def cmd_analyze(resolved: dict, out_root) -> None:
+def cmd_analyze(resolved: dict) -> dict:
     if not resolved["queries"] or not resolved["galleries"]:
         raise ConfigError("analyze needs --queries and --galleries")
     queries = hio.read_embedding_set(resolved["queries"])
@@ -150,16 +150,11 @@ def cmd_analyze(resolved: dict, out_root) -> None:
     s = cosine_blocks(queries, galleries)
     report = hubness_report(s, resolved["k"], resolved["hub_size_factor"],
                             resolved["atkinson_epsilon"])
-    out = _artifact_dir(out_root, "analyze", resolved)
-    _write_json(out / "report.json", "analyze", resolved,
-                {"report": report.to_dict()})
-    with open(out / "histogram.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_k", "count"])
-        writer.writerows(report.histogram)
+    return {"report.json": {"report": report.to_dict()},
+            "histogram.csv": _csv_text([["n_k", "count"], *report.histogram])}
 
 
-def cmd_train(resolved: dict, out_root) -> None:
+def cmd_train(resolved: dict) -> dict:
     if bool(resolved["queries"]) != bool(resolved["galleries"]):
         raise ConfigError("train needs both --queries and --galleries, or neither")
     if resolved["queries"]:
@@ -171,22 +166,16 @@ def cmd_train(resolved: dict, out_root) -> None:
     else:
         data = _synthetic(resolved)
     result = train(train_config_from(resolved), data)
-    out = _artifact_dir(out_root, "train", resolved)
-    _write_json(out / "resolved_config.json", "train", resolved, {})
-    _write_json(out / "report_before.json", "train", resolved,
-                {"report": result.report_before.to_dict()})
-    _write_json(out / "report_after.json", "train", resolved,
-                {"report": result.report_after.to_dict()})
-    with open(out / "loss_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
-        for row in result.loss_curve:
-            writer.writerow([row[c] for c in CURVE_COLUMNS])
-    hio.write_embedding_set(out / "trained_queries.emb", result.queries)
-    hio.write_embedding_set(out / "trained_galleries.emb", result.galleries)
+    curve = [[row[c] for c in CURVE_COLUMNS] for row in result.loss_curve]
+    return {"resolved_config.json": {},
+            "report_before.json": {"report": result.report_before.to_dict()},
+            "report_after.json": {"report": result.report_after.to_dict()},
+            "loss_curve.csv": _csv_text([CURVE_COLUMNS, *curve]),
+            "trained_queries.emb": result.queries,
+            "trained_galleries.emb": result.galleries}
 
 
-def cmd_retrieve(resolved: dict, out_root) -> None:
+def cmd_retrieve(resolved: dict) -> dict:
     if not resolved["queries"] or not resolved["galleries"]:
         raise ConfigError("retrieve needs --queries and --galleries")
     queries = hio.read_embedding_set(resolved["queries"])
@@ -217,9 +206,6 @@ def cmd_retrieve(resolved: dict, out_root) -> None:
         top_scores.append(np.take_along_axis(block, top, axis=1))
 
     scores = retrieval_eval(s, labels, keep_top)
-    out = _artifact_dir(out_root, "retrieve", resolved)
-    _write_json(out / "retrieval.json", "retrieve", resolved,
-                {"mode": resolved["mode"], "scores": scores.to_dict()})
     gallery_ids = _csv_cells(galleries.ids or [f"g{j:05d}" for j in range(s.m)])
     query_ids = _csv_cells(queries.ids or [f"q{i:05d}" for i in range(s.n)])
     top = np.concatenate(tops)
@@ -228,31 +214,27 @@ def cmd_retrieve(resolved: dict, out_root) -> None:
     ranked = [gallery_ids[j] for j in top.ravel().tolist()]
     lines = [f"{head}{gallery},{value!r}\r\n" for head, gallery, value
              in zip(heads, ranked, np.concatenate(top_scores).ravel().tolist())]
-    with open(out / "ranked.csv", "w", newline="") as fh:
-        fh.write("query_id,rank,gallery_id,score\r\n" + "".join(lines))
+    return {"retrieval.json": {"mode": resolved["mode"], "scores": scores.to_dict()},
+            "ranked.csv": "query_id,rank,gallery_id,score\r\n" + "".join(lines)}
 
 
-def cmd_probe(resolved: dict, out_root) -> None:
+def cmd_probe(resolved: dict) -> dict:
     if not resolved["texts"]:
         raise ConfigError("probe needs --texts")
     texts = hio.read_embedding_set(resolved["texts"])
     labels = pseudo_positive_probe(texts, resolved["probe_threshold"])
-    out = _artifact_dir(out_root, "probe", resolved)
-    _write_json(out / "labels.json", "probe", resolved,
-                {"source": labels.source,
-                 "n": labels.shape[0],
-                 "m": labels.shape[1],
-                 "pairs": labels.to_pairs()})
+    return {"labels.json": {"source": labels.source,
+                            "n": labels.shape[0],
+                            "m": labels.shape[1],
+                            "pairs": labels.to_pairs()}}
 
 
-def cmd_simulate(resolved: dict, out_root) -> None:
+def cmd_simulate(resolved: dict) -> dict:
     data = _synthetic(resolved)
-    out = _artifact_dir(out_root, "simulate", resolved)
-    hio.write_embedding_set(out / "queries.emb", data.queries)
-    hio.write_embedding_set(out / "galleries.emb", data.galleries)
-    _write_json(out / "simulate.json", "simulate", resolved,
-                {"n_pairs": data.n,
-                 "planted": [int(i) for i in np.flatnonzero(data.planted)]})
+    return {"queries.emb": data.queries,
+            "galleries.emb": data.galleries,
+            "simulate.json": {"n_pairs": data.n,
+                              "planted": [int(i) for i in np.flatnonzero(data.planted)]}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -315,21 +297,15 @@ def main(argv=None) -> int:
     ``warning:`` line on stderr and the artifact directory on stdout, and
     return 0; on a HubLabError, print only its ``error:`` line and return 2.
     Warnings that the active filters turn into errors still raise."""
-    partial = None
     try:
         args = build_parser().parse_args(argv)
         with warnings.catch_warnings(record=True) as caught:
             resolved = _resolved(args)
-            out, partial = _artifact_paths(args.out, args.command, resolved)
-            args.func(resolved, args.out)
-            _publish(partial, out)
+            out = _publish(args.out, args.command, resolved, args.func(resolved))
     except HubLabError as exc:
         # a path or an unknown argument may hold a line break; the error is one line
         print("error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
-    finally:
-        if partial is not None:
-            shutil.rmtree(partial, ignore_errors=True)
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
     print(out)

@@ -283,8 +283,11 @@ class _ProjectionModel(_Model):
 
 
 def _build_model(config: TrainConfig, data: PairedData) -> _Model:
-    """The configured model over the unit rows of both sides. Every batch
-    goes into the bank, so one larger than the bank fails here, before any work."""
+    """The configured model over the unit rows of both sides. Neighbors need
+    a second pair, and every batch goes into the bank, so too few pairs or a
+    batch larger than the bank fails here, before any work."""
+    if data.n < 2:
+        raise OutOfRange(f"train needs at least 2 pairs, got {data.n}")
     batch = min(config.batch_size, data.n)
     if batch > config.bank_capacity:
         raise OutOfRange(f"bank_capacity {config.bank_capacity} is smaller than a batch "
@@ -480,8 +483,6 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
 
 def train(config: TrainConfig, data: PairedData) -> TrainResult:
     """Run the optimization loop and report hubness before and after."""
-    if data.n < 2:
-        raise OutOfRange(f"train needs at least 2 pairs, got {data.n}")
     model = _build_model(config, data)
     bank = MemoryBank(config.bank_capacity, data.queries.dim)
     adam = Adam(model.params, config.learning_rate)

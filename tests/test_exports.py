@@ -30,6 +30,42 @@ def _names_used_outside_errors() -> set:
     return used
 
 
+def _private_module_names() -> list:
+    """(module, name) for each module-level name of a hublab module that
+    starts with one underscore: a def, a class, an assignment or an import."""
+    names = []
+    for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                bound = []
+            names += [(path.stem, name) for name in bound
+                      if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def test_every_private_module_name_is_read():
+    """A private helper, constant or import that no hublab code reads is dead;
+    a test that patches it is no reader."""
+    private = _private_module_names()
+    assert private
+    read = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert [entry for entry in private if entry[1] not in read] == []
+
+
 class TestErrors:
     classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
                if cls.__module__ == errors.__name__]

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import hublab
 from hublab import EmbeddingSet
 from hublab import io as hio
+from hublab import cli
 from hublab.cli import build_parser, main
 from hublab.config import DEFAULTS, config_digest, resolve_config
 from hublab.errors import ConfigError, FormatError
@@ -433,6 +435,45 @@ class TestCli:
                         capsys.readouterr().err)
         assert len(calls) == 2
         assert list(out.iterdir()) == []
+
+    def test_failed_write_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        run_dir = _simulate(tmp_path)
+        write_text = Path.write_text
+
+        def disk_full(path, *args, **kwargs):
+            if path.name == "report.json":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        out = tmp_path / "an"
+        assert main(["analyze", "--queries", str(run_dir / "queries.emb"),
+                     "--galleries", str(run_dir / "galleries.emb"),
+                     "--out", str(out)]) == 2
+        assert re.match(r"error: cannot create output directory \S+analyze-\w+: "
+                        r"No space left on device\n$", capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, names", [
+        ("analyze", ["report.json", "histogram.csv"]),
+        ("train", ["resolved_config.json", "report_before.json", "report_after.json",
+                   "loss_curve.csv", "trained_queries.emb", "trained_galleries.emb"]),
+        ("retrieve", ["retrieval.json", "ranked.csv"]),
+        ("probe", ["labels.json"]),
+        ("simulate", ["queries.emb", "galleries.emb", "simulate.json"]),
+    ])
+    def test_commands_return_artifacts_and_write_nothing(self, command, names,
+                                                         tmp_path, monkeypatch):
+        run_dir = _simulate(tmp_path)
+        q, g = str(run_dir / "queries.emb"), str(run_dir / "galleries.emb")
+        resolved = resolve_config({"queries": q, "galleries": g, "texts": q, "k": 5,
+                                   "n_pairs": 16, "epochs": 1, "batch_size": 40,
+                                   "k_neighbors": 3, "bank_capacity": 64})
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        artifacts = getattr(cli, f"cmd_{command}")(resolved)
+        assert list(artifacts) == names
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["analyze", "retrieve", "probe", "train"])
     def test_config_paths_equal_flags(self, command, tmp_path, capsys):

@@ -260,6 +260,15 @@ class TestTraining:
                                              r"of 8 rows \(batch_size 8\)$"):
             run(small_config(bank_capacity=4), tiny_data)
 
+    @pytest.mark.parametrize("run", [train, grad_check])
+    def test_one_pair_fails_before_any_work(self, monkeypatch, run):
+        def spy(*args):
+            raise AssertionError("neighbors were picked before the pair-count check")
+
+        monkeypatch.setattr(tr, "select_neighbors", spy)
+        with pytest.raises(OutOfRange, match=r"^train needs at least 2 pairs, got 1$"):
+            run(small_config(), synth_generate(1, 6, 0.0, 0.5, 0.6, 7))
+
     def test_batch_size_over_capacity_fits_when_the_data_does(self, tiny_data):
         # 16 pairs make one batch of 16, which a bank of 16 holds
         result = train(small_config(batch_size=32, bank_capacity=16, epochs=1), tiny_data)
