@@ -134,12 +134,7 @@ def _csv_cells(values: list) -> list:
     if all(isinstance(value, str) for value in values) and not _CSV_SPECIAL.search(
             "".join(values)):
         return values
-    cells = []
-    for value in values:
-        text = io.StringIO()
-        csv.writer(text).writerow([value, ""])
-        cells.append(text.getvalue()[:-len(",\r\n")])
-    return cells
+    return [_csv_text([[value, ""]])[:-len(",\r\n")] for value in values]
 
 
 def cmd_analyze(resolved: dict) -> dict:
