@@ -16,9 +16,8 @@ from .core import (
     cosine_similarity_matrix,
     l2_normalize,
 )
-from .eval import RetrievalScores, infer_simi_cent, retrieval_eval
+from .eval import infer_simi_cent, retrieval_eval
 from .hubness import (
-    HubnessReport,
     KOccurrence,
     RelevanceLabels,
     antihub_occurrence,
@@ -68,14 +67,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CosineBlocks",
     "EmbeddingSet",
-    "HubnessReport",
     "KOccurrence",
     "LossBundle",
     "MemoryBank",
     "NeighborSet",
     "PairedData",
     "RelevanceLabels",
-    "RetrievalScores",
     "SimilarityMatrix",
     "TokenSet",
     "TrainConfig",

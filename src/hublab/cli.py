@@ -145,8 +145,8 @@ def cmd_analyze(resolved: dict) -> dict:
     s = cosine_blocks(queries, galleries)
     report = hubness_report(s, resolved["k"], resolved["hub_size_factor"],
                             resolved["atkinson_epsilon"])
-    return {"report.json": {"report": report.to_dict()},
-            "histogram.csv": _csv_text([["n_k", "count"], *report.histogram])}
+    return {"report.json": {"report": report},
+            "histogram.csv": _csv_text([["n_k", "count"], *report["histogram"]])}
 
 
 def cmd_train(resolved: dict) -> dict:
@@ -163,8 +163,8 @@ def cmd_train(resolved: dict) -> dict:
     result = train(train_config_from(resolved), data)
     curve = [[row[c] for c in CURVE_COLUMNS] for row in result.loss_curve]
     return {"resolved_config.json": {},
-            "report_before.json": {"report": result.report_before.to_dict()},
-            "report_after.json": {"report": result.report_after.to_dict()},
+            "report_before.json": {"report": result.report_before},
+            "report_after.json": {"report": result.report_after},
             "loss_curve.csv": _csv_text([CURVE_COLUMNS, *curve]),
             "trained_queries.emb": result.queries,
             "trained_galleries.emb": result.galleries}
@@ -177,14 +177,10 @@ def cmd_retrieve(resolved: dict) -> dict:
     galleries = hio.read_embedding_set(resolved["galleries"])
     s = cosine_blocks(queries, galleries)
     if resolved["mode"] == "simi-cent":
-        bank_data, bank_modality = galleries.data, galleries.modality
-        if resolved["bank"]:
-            bank_data, bank_modality, _ = hio.read_embeddings(resolved["bank"])
-        if bank_modality != MODALITY_GALLERY:
+        stored = hio.read_embedding_set(resolved["bank"]) if resolved["bank"] else galleries
+        if stored.modality != MODALITY_GALLERY:
             raise ConfigError("simi-cent bank must hold gallery-side embeddings")
-        bank = MemoryBank(max(bank_data.shape[0], 1), galleries.dim)
-        if bank_data.shape[0]:
-            push_batch(bank, EmbeddingSet(bank_data, MODALITY_GALLERY))
+        bank = push_batch(MemoryBank(stored.n, galleries.dim), stored)
         s = infer_simi_cent(s, galleries, bank)
     if resolved["labels"]:
         labels = _load_labels(resolved["labels"], (s.n, s.m))
@@ -209,7 +205,7 @@ def cmd_retrieve(resolved: dict) -> dict:
     ranked = [gallery_ids[j] for j in top.ravel().tolist()]
     lines = [f"{head}{gallery},{value!r}\r\n" for head, gallery, value
              in zip(heads, ranked, np.concatenate(top_scores).ravel().tolist())]
-    return {"retrieval.json": {"mode": resolved["mode"], "scores": scores.to_dict()},
+    return {"retrieval.json": {"mode": resolved["mode"], "scores": scores},
             "ranked.csv": "query_id,rank,gallery_id,score\r\n" + "".join(lines)}
 
 

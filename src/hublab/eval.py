@@ -7,8 +7,6 @@ everywhere else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bank import MemoryBank, intra_centrality
@@ -19,31 +17,13 @@ from .hubness import RelevanceLabels, top_k_indices
 RECALL_KS = (1, 5, 10)
 
 
-@dataclass
-class RetrievalScores:
-    """Standard ranked-retrieval metrics; recalls are percentages."""
-
-    r_at: dict
-    median_rank: float
-    mean_rank: float
-    rsum: float
-    map_at_r: float
-    r_precision: float
-
-    def to_dict(self) -> dict:
-        return {
-            "r_at": {str(k): v for k, v in sorted(self.r_at.items())},
-            "median_rank": self.median_rank,
-            "mean_rank": self.mean_rank,
-            "rsum": self.rsum,
-            "map_at_r": self.map_at_r,
-            "r_precision": self.r_precision,
-        }
-
-
 def retrieval_eval(s: SimilarityMatrix | CosineBlocks, labels: RelevanceLabels,
-                   each_block=None) -> RetrievalScores:
-    """Score a similarity matrix, or its ``CosineBlocks``, against relevance labels.
+                   each_block=None) -> dict:
+    """Score a similarity matrix, or its ``CosineBlocks``, against relevance
+    labels, as the dict that ``retrieval.json`` holds under ``scores``: ``r_at``
+    (R@1, R@5 and R@10 in percent, under the string keys ``"1"``, ``"5"`` and
+    ``"10"``), ``median_rank``, ``mean_rank``, ``rsum`` (the sum of the
+    three recalls), ``map_at_r`` and ``r_precision``.
 
     R@K counts a query as a hit when any relevant item ranks inside the
     top K; the query's rank is that of its best-ranked relevant item.
@@ -71,15 +51,15 @@ def retrieval_eval(s: SimilarityMatrix | CosineBlocks, labels: RelevanceLabels,
         if each_block is not None:
             each_block(scores, top)
     best_rank, average_precision, r_precision = map(np.concatenate, zip(*parts))
-    r_at = {k: float(100.0 * (best_rank <= k).mean()) for k in RECALL_KS}
-    return RetrievalScores(
-        r_at=r_at,
-        median_rank=float(np.median(best_rank)),
-        mean_rank=float(best_rank.mean()),
-        rsum=float(sum(r_at.values())),
-        map_at_r=float(average_precision.mean()),
-        r_precision=float(r_precision.mean()),
-    )
+    r_at = {str(k): float(100.0 * (best_rank <= k).mean()) for k in RECALL_KS}
+    return {
+        "r_at": r_at,
+        "median_rank": float(np.median(best_rank)),
+        "mean_rank": float(best_rank.mean()),
+        "rsum": float(sum(r_at.values())),
+        "map_at_r": float(average_precision.mean()),
+        "r_precision": float(r_precision.mean()),
+    }
 
 
 def _score_rows(scores: np.ndarray, top: np.ndarray, labels: RelevanceLabels,

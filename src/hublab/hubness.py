@@ -150,40 +150,6 @@ class RelevanceLabels:
         return np.stack(np.divmod(self.keys, self.shape[1]), axis=1).tolist()
 
 
-@dataclass
-class HubnessReport:
-    """The six N_k statistics plus their parameters and histogram."""
-
-    skewness: float
-    truncated_skewness: float
-    atkinson: float
-    robin_hood: float
-    antihub_occurrence: float
-    hub_occurrence: float
-    k: int
-    hub_size_factor: float
-    atkinson_epsilon: float
-    histogram: list
-    n_queries: int
-    n_gallery: int
-
-    def to_dict(self) -> dict:
-        return {
-            "skew": self.skewness,
-            "trunc": self.truncated_skewness,
-            "atkinson": self.atkinson,
-            "robin": self.robin_hood,
-            "anti": self.antihub_occurrence,
-            "hub": self.hub_occurrence,
-            "k": self.k,
-            "hub_size_factor": self.hub_size_factor,
-            "atkinson_epsilon": self.atkinson_epsilon,
-            "histogram": self.histogram,
-            "n_queries": self.n_queries,
-            "n_gallery": self.n_gallery,
-        }
-
-
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Row-wise top-k column indices by descending score, ties to lower index,
     equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``.
@@ -354,20 +320,28 @@ def count_histogram(occ: KOccurrence) -> list:
 
 def hubness_report(s: SimilarityMatrix | CosineBlocks, k: int,
                    hub_size_factor: float = HUB_SIZE_FACTOR,
-                   atkinson_epsilon: float = ATKINSON_EPSILON) -> HubnessReport:
-    """All six N_k statistics plus the histogram from one shared count pass."""
+                   atkinson_epsilon: float = ATKINSON_EPSILON) -> dict:
+    """All six N_k statistics plus the histogram from one shared count pass,
+    as the dict that ``report.json`` holds under ``report``.
+
+    Its keys: ``skew`` (``skewness``), ``trunc`` (``truncated_skewness``),
+    ``atkinson``, ``robin`` (``robin_hood``), ``anti``
+    (``antihub_occurrence``), ``hub`` (``hub_occurrence``), the parameters
+    ``k``, ``hub_size_factor`` and ``atkinson_epsilon``, ``histogram``
+    (``count_histogram``), ``n_queries`` and ``n_gallery``.
+    """
     occ = k_occurrence(s, k)
-    return HubnessReport(
-        skewness=skewness(occ),
-        truncated_skewness=truncated_skewness(occ),
-        atkinson=atkinson(occ, atkinson_epsilon),
-        robin_hood=robin_hood(occ),
-        antihub_occurrence=antihub_occurrence(occ),
-        hub_occurrence=hub_occurrence(occ, hub_size_factor),
-        k=k,
-        hub_size_factor=hub_size_factor,
-        atkinson_epsilon=atkinson_epsilon,
-        histogram=count_histogram(occ),
-        n_queries=occ.n_queries,
-        n_gallery=int(occ.counts.size),
-    )
+    return {
+        "skew": skewness(occ),
+        "trunc": truncated_skewness(occ),
+        "atkinson": atkinson(occ, atkinson_epsilon),
+        "robin": robin_hood(occ),
+        "anti": antihub_occurrence(occ),
+        "hub": hub_occurrence(occ, hub_size_factor),
+        "k": k,
+        "hub_size_factor": hub_size_factor,
+        "atkinson_epsilon": atkinson_epsilon,
+        "histogram": count_histogram(occ),
+        "n_queries": occ.n_queries,
+        "n_gallery": int(occ.counts.size),
+    }

@@ -38,12 +38,7 @@ from .core import (
     opposite,
 )
 from .errors import DivergenceDetected, NotConverged, OutOfRange
-from .hubness import (
-    ATKINSON_EPSILON,
-    HUB_SIZE_FACTOR,
-    HubnessReport,
-    hubness_report,
-)
+from .hubness import ATKINSON_EPSILON, HUB_SIZE_FACTOR, hubness_report
 from .losses import (
     GRAD_MODE_EXACT,
     GRAD_MODE_PAPER,
@@ -149,8 +144,8 @@ class TrainResult:
     queries: EmbeddingSet
     galleries: EmbeddingSet
     loss_curve: list
-    report_before: HubnessReport
-    report_after: HubnessReport
+    report_before: dict
+    report_after: dict
 
 
 _ANCHOR_SCALE = 1.0  # shared-direction strength, relative to sqrt(d)
@@ -537,7 +532,7 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
 
 
 def _full_report(config: TrainConfig, full_q: np.ndarray,
-                 full_g: np.ndarray) -> HubnessReport:
+                 full_g: np.ndarray) -> dict:
     """Hubness over every query and gallery row, scored a block of query
     rows at a time, so the n x n grid is never held whole."""
     s = cosine_blocks(EmbeddingSet(full_q, MODALITY_QUERY),

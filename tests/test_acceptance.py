@@ -213,7 +213,7 @@ class TestCriterion5MetricOracles:
             "hub": float(counts[counts > 2 * k].sum() / (200 * k)),
         }
         got = hublab.hubness_report(s, k, hub_size_factor=2.0,
-                                    atkinson_epsilon=0.5).to_dict()
+                                    atkinson_epsilon=0.5)
         worst = max(abs(got[key] - oracle[key]) for key in oracle)
 
         # uniform construction: circulant neighborhoods, every count equals k
@@ -223,7 +223,7 @@ class TestCriterion5MetricOracles:
         import warnings as _warnings
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")
-            uniform = hublab.hubness_report(circulant, 5).to_dict()
+            uniform = hublab.hubness_report(circulant, 5)
         zeros_ok = (uniform["skew"] == 0.0 and uniform["robin"] == 0.0
                     and uniform["atkinson"] == pytest.approx(0.0, abs=1e-12)
                     and uniform["anti"] == 0.0 and uniform["hub"] == 0.0)
@@ -244,8 +244,8 @@ class TestCriterion6AblationTrend:
         def stats(result):
             s = cosine_similarity_matrix(result.queries, result.galleries)
             ev = retrieval_eval(s, RelevanceLabels.diagonal(planted_dataset.n))
-            return (result.report_after.hub_occurrence,
-                    result.report_after.skewness, ev.r_at[1])
+            return (result.report_after["hub"],
+                    result.report_after["skew"], ev["r_at"]["1"])
 
         hub_full, skew_full, r1_full = stats(full)
         hub_wti, skew_wti, r1_wti = stats(wti_only)
@@ -279,11 +279,11 @@ class TestCriterion7SimiCent:
         push_batch(bank, baseline.galleries)
         adjusted = infer_simi_cent(s, baseline.galleries, bank)
 
-        hub_raw = hublab.hubness_report(s, 15).hub_occurrence
-        hub_adj = hublab.hubness_report(adjusted, 15).hub_occurrence
+        hub_raw = hublab.hubness_report(s, 15)["hub"]
+        hub_adj = hublab.hubness_report(adjusted, 15)["hub"]
         labels = RelevanceLabels.diagonal(planted_dataset.n)
-        rsum_raw = retrieval_eval(s, labels).rsum
-        rsum_adj = retrieval_eval(adjusted, labels).rsum
+        rsum_raw = retrieval_eval(s, labels)["rsum"]
+        rsum_adj = retrieval_eval(adjusted, labels)["rsum"]
         ok = hub_adj < hub_raw and abs(rsum_adj - rsum_raw) < 2.0
         report(7, ok, f"simi-cent: hub {hub_raw:.4f} -> {hub_adj:.4f} (reduced), "
                       f"Rsum {rsum_raw:.2f} -> {rsum_adj:.2f} "

@@ -56,12 +56,12 @@ class TestRetrievalEval:
     def test_perfect_retrieval(self):
         s = SimilarityMatrix(np.eye(5))
         scores = retrieval_eval(s, RelevanceLabels.diagonal(5))
-        assert scores.r_at[1] == 100.0
-        assert scores.median_rank == 1.0
-        assert scores.mean_rank == 1.0
-        assert scores.map_at_r == 1.0
-        assert scores.r_precision == 1.0
-        assert scores.rsum == 300.0
+        assert scores["r_at"]["1"] == 100.0
+        assert scores["median_rank"] == 1.0
+        assert scores["mean_rank"] == 1.0
+        assert scores["map_at_r"] == 1.0
+        assert scores["r_precision"] == 1.0
+        assert scores["rsum"] == 300.0
 
     def test_reversed_ranking(self):
         # every query ranks its mate dead last
@@ -70,9 +70,9 @@ class TestRetrievalEval:
         for i in range(n):
             s[i, i] = -1.0
         out = retrieval_eval(SimilarityMatrix(s), RelevanceLabels.diagonal(n))
-        assert out.mean_rank == 10.0
-        assert out.median_rank == 10.0
-        assert out.r_at[1] == 0.0
+        assert out["mean_rank"] == 10.0
+        assert out["median_rank"] == 10.0
+        assert out["r_at"]["1"] == 0.0
 
     @pytest.mark.parametrize("grid", ["normal", "ties", "rectangular", "full-row",
                                       "below-top-10", "ties-below-top-10",
@@ -103,11 +103,11 @@ class TestRetrievalEval:
         labels = RelevanceLabels.from_mask(mask)
         got = retrieval_eval(SimilarityMatrix(scores), labels)
         oracle = brute_force_retrieval(scores, mask)
-        assert got.r_at == {1: oracle["r1"], 5: oracle["r5"], 10: oracle["r10"]}
-        assert got.median_rank == oracle["mdr"]
-        assert got.mean_rank == oracle["mnr"]
-        assert got.map_at_r == pytest.approx(oracle["map"], abs=1e-12)
-        assert got.r_precision == pytest.approx(oracle["rp"], abs=1e-12)
+        assert got["r_at"] == {"1": oracle["r1"], "5": oracle["r5"], "10": oracle["r10"]}
+        assert got["median_rank"] == oracle["mdr"]
+        assert got["mean_rank"] == oracle["mnr"]
+        assert got["map_at_r"] == pytest.approx(oracle["map"], abs=1e-12)
+        assert got["r_precision"] == pytest.approx(oracle["rp"], abs=1e-12)
 
     def test_counted_rank_breaks_ties_to_the_lower_column(self):
         # 12 columns score 5, so the top 10 holds none of the relevant ones
@@ -124,8 +124,8 @@ class TestRetrievalEval:
         mask = labels.matrix
         got = retrieval_eval(SimilarityMatrix(scores), labels)
         oracle = brute_force_retrieval(scores, mask)
-        assert got.mean_rank == oracle["mnr"] == (15 + 12 + 4 + 16) / 4
-        assert got.median_rank == oracle["mdr"]
+        assert got["mean_rank"] == oracle["mnr"] == (15 + 12 + 4 + 16) / 4
+        assert got["median_rank"] == oracle["mdr"]
 
     def test_blocks_against_exhaustive_oracle(self, monkeypatch, rng):
         # CosineBlocks of 4-row blocks: labels are read a block of rows at a time
@@ -145,18 +145,18 @@ class TestRetrievalEval:
         got = retrieval_eval(s, RelevanceLabels.from_mask(mask), each_block)
         assert tops == [True] * 7
         oracle = brute_force_retrieval(scores, mask)
-        assert got.r_at == {1: oracle["r1"], 5: oracle["r5"], 10: oracle["r10"]}
-        assert got.mean_rank == oracle["mnr"]
-        assert got.map_at_r == pytest.approx(oracle["map"], abs=1e-12)
-        assert got.r_precision == pytest.approx(oracle["rp"], abs=1e-12)
+        assert got["r_at"] == {"1": oracle["r1"], "5": oracle["r5"], "10": oracle["r10"]}
+        assert got["mean_rank"] == oracle["mnr"]
+        assert got["map_at_r"] == pytest.approx(oracle["map"], abs=1e-12)
+        assert got["r_precision"] == pytest.approx(oracle["rp"], abs=1e-12)
 
     def test_recalls_nondecreasing_and_rsum(self, rng):
         scores = rng.normal(size=(30, 40))
         mask = np.zeros((30, 40), dtype=bool)
         mask[np.arange(30), rng.integers(0, 40, size=30)] = True
         got = retrieval_eval(SimilarityMatrix(scores), RelevanceLabels.from_mask(mask))
-        assert got.r_at[1] <= got.r_at[5] <= got.r_at[10]
-        assert got.rsum == pytest.approx(got.r_at[1] + got.r_at[5] + got.r_at[10])
+        assert got["r_at"]["1"] <= got["r_at"]["5"] <= got["r_at"]["10"]
+        assert got["rsum"] == pytest.approx(sum(got["r_at"].values()))
 
     def test_no_relevant_raises(self):
         mask = np.zeros((2, 3), dtype=bool)

@@ -56,7 +56,7 @@ def _record(case: str) -> dict:
         "queries": result.queries.data.tolist(),
         "galleries": result.galleries.data.tolist(),
         "curve": {c: [row[c] for row in result.loss_curve] for c in CURVE_COLUMNS},
-        "report_after": result.report_after.to_dict(),
+        "report_after": result.report_after,
     }
 
 

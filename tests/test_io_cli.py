@@ -20,7 +20,7 @@ from hublab import EmbeddingSet
 from hublab import io as hio
 from hublab import cli
 from hublab.cli import build_parser, main
-from hublab.config import DEFAULTS, config_digest, resolve_config
+from hublab.config import DEFAULTS, config_digest, resolve_config, train_config_from
 from hublab.errors import ConfigError, FormatError
 
 from conftest import random_unit_rows
@@ -211,9 +211,7 @@ class TestCli:
         import hublab
         q = hio.read_embedding_set(run_dir / "queries.emb")
         g = hio.read_embedding_set(run_dir / "galleries.emb")
-        s = hublab.cosine_similarity_matrix(q, g)
-        report = hublab.hubness_report(s, 5).to_dict()
-        assert doc["report"] == json.loads(json.dumps(report))
+        assert doc["report"] == hublab.hubness_report(hublab.cosine_blocks(q, g), 5)
 
         hist = (an_dir / "histogram.csv").read_text().splitlines()
         assert hist[0] == "n_k,count"
@@ -246,7 +244,19 @@ class TestCli:
                    "--mode", "simi-cent", "--bank", str(empty),
                    "--out", str(tmp_path / "ret")])
         assert rc == 2
-        assert "stored" in capsys.readouterr().err
+        assert "file holds no rows" in capsys.readouterr().err
+
+    def test_retrieve_simi_cent_bank_sidecar_must_match_rows(self, tmp_path, capsys, rng):
+        run_dir = _simulate(tmp_path)
+        bank = tmp_path / "bank.emb"
+        hio.write_embeddings(bank, random_unit_rows(rng, 3, 16), "gallery",
+                             ids=["a", "b"])
+        rc = main(["retrieve", "--queries", str(run_dir / "queries.emb"),
+                   "--galleries", str(run_dir / "galleries.emb"),
+                   "--mode", "simi-cent", "--bank", str(bank),
+                   "--out", str(tmp_path / "ret")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {bank}: ")
 
     def test_retrieve_simi_cent_default_bank(self, tmp_path, capsys):
         run_dir = _simulate(tmp_path)
@@ -276,9 +286,8 @@ class TestCli:
         qs = hio.read_embedding_set(tmp_path / "q.emb")
         gs = hio.read_embedding_set(tmp_path / "g.emb")
         labels = hublab.RelevanceLabels.from_pairs(pairs, (12, 15))
-        expected = hublab.retrieval_eval(
-            hublab.cosine_similarity_matrix(qs, gs), labels).to_dict()
-        assert doc["scores"] == json.loads(json.dumps(expected))
+        expected = hublab.retrieval_eval(hublab.cosine_blocks(qs, gs), labels)
+        assert doc["scores"] == expected
 
     def test_ranked_csv_equals_csv_writer(self, tmp_path, capsys, rng):
         # ids that csv.writer quotes, doubles a quote in, or writes as text
@@ -352,6 +361,24 @@ class TestCli:
         before = json.loads((run_dir / "report_before.json").read_text())
         after = json.loads((run_dir / "report_after.json").read_text())
         assert before["report"] == after["report"]
+
+    def test_train_reports_equal_library(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n_pairs": 40, "dim": 8, "epochs": 1, "batch_size": 20,
+            "bank_capacity": 64, "k_neighbors": 3, "k": 5}))
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
+        assert rc == 0
+        run_dir = next((tmp_path / "t").glob("train-*"))
+        resolved = json.loads((run_dir / "resolved_config.json").read_text())["config"]
+        data = hublab.synth_generate(resolved["n_pairs"], resolved["dim"],
+                                     resolved["hub_fraction"], resolved["contraction"],
+                                     resolved["noise"], resolved["seed"])
+        result = hublab.train(train_config_from(resolved), data)
+        assert result.report_before != result.report_after
+        for name in ("report_before", "report_after"):
+            doc = json.loads((run_dir / f"{name}.json").read_text())
+            assert doc["report"] == getattr(result, name)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_train_sharp_epsilon_converges(self, tmp_path, capsys):

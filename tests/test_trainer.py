@@ -175,7 +175,7 @@ class TestTraining:
     def test_zero_learning_rate_freezes_reports(self, tiny_data):
         cfg = small_config(learning_rate=0.0)
         result = train(cfg, tiny_data)
-        assert result.report_before.to_dict() == result.report_after.to_dict()
+        assert result.report_before == result.report_after
         np.testing.assert_allclose(result.queries.data,
                                    tiny_data.queries.data, atol=1e-15)
 
@@ -185,7 +185,7 @@ class TestTraining:
         np.testing.assert_array_equal(a.queries.data, b.queries.data)
         np.testing.assert_array_equal(a.galleries.data, b.galleries.data)
         assert a.loss_curve == b.loss_curve
-        assert a.report_after.to_dict() == b.report_after.to_dict()
+        assert a.report_after == b.report_after
 
     def test_wti_only_separable_toy_reaches_r1(self):
         from hublab import retrieval_eval
@@ -197,7 +197,7 @@ class TestTraining:
         result = train(cfg, data)
         s = cosine_similarity_matrix(result.queries, result.galleries)
         ev = retrieval_eval(s, RelevanceLabels.diagonal(data.n))
-        assert ev.r_at[1] == 100.0
+        assert ev["r_at"]["1"] == 100.0
 
     def test_unit_norm_preserved(self, tiny_data):
         result = train(small_config(), tiny_data)
