@@ -29,7 +29,6 @@ from .config import (
     DEFAULTS,
     FORMAT_VERSION,
     config_digest,
-    load_config_file,
     resolve_config,
     train_config_from,
 )
@@ -45,7 +44,7 @@ from .trainer import CURVE_COLUMNS, PairedData, synth_generate, train
 
 def _resolved(args) -> dict:
     """Defaults, the --config file, then each flag given (a left-out flag is None)."""
-    file_config = load_config_file(args.config) if args.config else None
+    file_config = hio.read_json_object(args.config, "config") if args.config else None
     flags = {key: value for key, value in vars(args).items()
              if key in DEFAULTS and value is not None}
     return resolve_config(file_config, flags)
@@ -59,20 +58,16 @@ def _synthetic(resolved: dict) -> PairedData:
 
 
 def _load_labels(path, shape) -> RelevanceLabels:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read labels {path}: {exc}") from exc
-    pairs = doc.get("pairs") if isinstance(doc, dict) else doc
+    doc = hio.read_json_object(path, "labels")
+    pairs = doc.get("pairs")
     if pairs is None:
         raise ConfigError(f"{path}: expected a 'pairs' list")
-    source = doc.get("source", "ground-truth") if isinstance(doc, dict) else "ground-truth"
     # type() and not isinstance(): NumPy would read true among integers as 1
     if isinstance(pairs, list) and any(type(v) is not int for pair in pairs
                                        if isinstance(pair, list) for v in pair):
         raise ConfigError(f"{path}: bad label pairs: indices must be integers")
     try:
-        return RelevanceLabels.from_pairs(pairs, shape, source)
+        return RelevanceLabels.from_pairs(pairs, shape, doc.get("source", "ground-truth"))
     except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad label pairs: {exc}") from exc
 

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 from dataclasses import fields
-from pathlib import Path
 
 from .errors import ConfigError
 from .trainer import TrainConfig
@@ -79,17 +78,6 @@ def _check_type(key: str, value):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}")
     return value
-
-
-def load_config_file(path) -> dict:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return raw
 
 
 def resolve_config(file_config: dict | None = None,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bank import MemoryBank, intra_centrality
 from .core import CosineBlocks, EmbeddingSet, SimilarityMatrix
-from .errors import EmptyBank, NoRelevant, ShapeMismatch
+from .errors import NoRelevant, ShapeMismatch
 from .hubness import RelevanceLabels, top_k_indices
 
 RECALL_KS = (1, 5, 10)
@@ -119,6 +119,4 @@ def infer_simi_cent(s: SimilarityMatrix | CosineBlocks, gallery: EmbeddingSet,
     """
     if gallery.n != s.m:
         raise ShapeMismatch(f"gallery has {gallery.n} rows, scores have {s.m} columns")
-    if bank.fill(gallery.modality) == 0:
-        raise EmptyBank(f"no stored {gallery.modality}-side vectors to rank against")
     return s.minus_columns(intra_centrality(bank, gallery))

@@ -11,7 +11,8 @@ Layout (all integers little-endian):
     payload n*d float32, row-major, little-endian
 
 A sidecar ``<stem>.meta.json`` next to the file optionally carries row
-ids and labels. Reads and writes round-trip the payload bit-exactly.
+ids (a list) and labels (a list of integers or nulls). Reads and writes
+round-trip the payload bit-exactly.
 """
 
 from __future__ import annotations
@@ -64,6 +65,21 @@ def write_embeddings(path, data: np.ndarray, modality: str,
     return path
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``, a command's ``what`` ("config",
+    "labels" or "sidecar"); any other file is a FormatError naming both."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    # ValueError covers JSONDecodeError and UnicodeDecodeError; deeply nested
+    # JSON exhausts the parser's recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: unreadable {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def read_embeddings(path) -> tuple[np.ndarray, str, dict]:
     """Read an embedding file; returns (float32 array, modality, meta dict)."""
     path = Path(path)
@@ -91,14 +107,10 @@ def read_embeddings(path) -> tuple[np.ndarray, str, dict]:
     meta = {}
     side = sidecar_path(path)
     if side.exists():
-        try:
-            meta = json.loads(side.read_text())
-        # deeply nested JSON exhausts the parser's recursion limit
-        except (OSError, ValueError, RecursionError) as exc:
-            raise FormatError(f"{side}: unreadable sidecar: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise FormatError(f"{side}: sidecar must be a JSON object")
-        labels = meta.get("labels")
+        meta = read_json_object(side, "sidecar")
+        ids, labels = meta.get("ids"), meta.get("labels")
+        if ids is not None and not isinstance(ids, list):
+            raise FormatError(f"{side}: ids must be a list")
         # type() and not isinstance(), which would let true and false through
         if labels is not None and (not isinstance(labels, list) or any(
                 v is not None and type(v) is not int for v in labels)):
@@ -114,7 +126,7 @@ def read_embedding_set(path) -> EmbeddingSet:
     try:
         return EmbeddingSet(data, modality,
                             ids=meta.get("ids"), labels=meta.get("labels"))
-    except (TypeError, ValueError) as exc:  # sidecar ids/labels of the wrong length
+    except ValueError as exc:  # sidecar ids/labels of the wrong length
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -657,6 +657,22 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         labels.write_text(json.dumps({"pairs": [[i, i] for i in range(4)] + [pair]}))
         return ["retrieve", "--queries", str(q), "--galleries", str(g),
                 "--labels", str(labels)]
+    if probe in ("labels-deep", "labels-bare-list"):
+        # labels.json has one form, the object with "pairs" that probe writes
+        labels = tmp_path / "labels.json"
+        labels.write_text("[" * 100_000 if probe == "labels-deep"
+                          else json.dumps([[i, i] for i in range(4)]))
+        return ["retrieve", "--queries", str(q), "--galleries", str(g),
+                "--labels", str(labels)]
+    if probe in ("config-deep", "config-not-utf8"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"[" * 100_000 if probe == "config-deep" else b"\xff\xfe{}")
+        return ["simulate", "--config", str(cfg)]
+    if probe in ("sidecar-ids-object", "sidecar-ids-string"):
+        # both have a length of 4, the row count, so only their type is wrong
+        ids = {"a": 1, "b": 2, "c": 3, "d": 4} if probe == "sidecar-ids-object" else "abcd"
+        hio.sidecar_path(g).write_text(json.dumps({"ids": ids}))
+        return ["retrieve", "--queries", str(q), "--galleries", str(g)]
     if probe in ("config-k-neighbors", "config-n-pairs", "config-atkinson"):
         # a TrainConfig range, a data key, and a key checked only after training
         key, value = {"config-k-neighbors": ("k_neighbors", 0),
@@ -793,6 +809,13 @@ _PROBE_ERRORS = {
                              r"rows \(batch_size 32\)$",
     "flag-not-int": r"error: argument --k: invalid int value: 'abc'$",
     "missing-command": r"error: argument command: invalid choice: '\S+/out' ",
+    "config-deep": r"error: \S+cfg\.json: unreadable config: maximum recursion",
+    "config-not-utf8": r"error: \S+cfg\.json: unreadable config: 'utf-8' codec "
+                       r"can't decode",
+    "labels-deep": r"error: \S+labels\.json: unreadable labels: maximum recursion",
+    "labels-bare-list": r"error: \S+labels\.json: labels must be a JSON object$",
+    "sidecar-ids-object": r"error: \S+g\.meta\.json: ids must be a list$",
+    "sidecar-ids-string": r"error: \S+g\.meta\.json: ids must be a list$",
 }
 
 
@@ -807,7 +830,8 @@ class TestBadInput:
         "sidecar-label-string", "config-null", "mode-unknown", "out-is-file",
         "sinkhorn-overflow", "train-k-too-large", "label-bool", "diverge-temperature",
         "deep-sidecar", "train-batch-1", "train-one-pair", "train-batch-over-bank",
-        "flag-not-int", "missing-command"])
+        "flag-not-int", "missing-command", "config-deep", "config-not-utf8",
+        "labels-deep", "labels-bare-list", "sidecar-ids-object", "sidecar-ids-string"])
     # a NumPy RuntimeWarning would print ahead of the error line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,
@@ -888,10 +912,29 @@ _path = st.one_of(st.none(), st.integers(), st.sampled_from(_FILES),
 
 
 @st.composite
+def _raw_json_bodies(draw):
+    """The bytes of a JSON document nested past the parser's recursion
+    limit, broken as UTF-8, or cut short."""
+    body = json.dumps(draw(_json)).encode()
+    kind = draw(st.sampled_from(["deep", "not-utf8", "truncated"]))
+    if kind == "deep":
+        return draw(st.sampled_from([b"[", b'{"a": '])) * 100_000 + body
+    if kind == "not-utf8":
+        at = draw(st.integers(0, len(body)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+        return body[:at] + bad + body[at:]
+    return body[:draw(st.integers(0, len(body) - 1))]
+
+
+@st.composite
 def _config_docs(draw):
-    """Valid small sizes with up to four keys redrawn, or any JSON at all."""
-    if draw(st.integers(0, 9)) == 0:
+    """Valid small sizes with up to four keys redrawn, any JSON at all, or
+    bytes that are not JSON."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
         return draw(_json)
+    if kind == 1:
+        return draw(_raw_json_bodies())
     doc = {key: draw(st.integers(1, 16)) for key in _SIZE_KEYS}
     for key in draw(st.lists(st.sampled_from([*DEFAULTS, "unknown"]), max_size=4,
                              unique=True)):
@@ -913,18 +956,26 @@ _flag_values = st.one_of(st.text(max_size=4), st.integers(-2, 6).map(str),
                          st.sampled_from(["simi", "simi-cent", "0.5", "-1", "nan", "1e9"]))
 
 
+def _json_bytes(doc) -> bytes:
+    """A drawn document as JSON, or drawn raw bytes as they are."""
+    return doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+
+
 class TestCliFuzz:
     # inputs this small often leave N_k without spread, which hubness reports
     # with a warning by design; main prints it as a warning: line, and a
     # RuntimeWarning still fails the test
     @settings(max_examples=150, deadline=None)
     @given(command=st.sampled_from(["analyze", "probe", "retrieve", "simulate", "train"]),
-           config=_config_docs(), labels=st.one_of(st.none(), _label_docs),
+           config=_config_docs(),
+           labels=st.one_of(st.none(), _label_docs, _raw_json_bodies()),
+           sidecar=st.one_of(st.none(), st.fixed_dictionaries({"ids": _json})),
            flags=st.dictionaries(st.sampled_from(["--k", "--seed", "--mode", "--threshold"]),
                                  _flag_values, max_size=2))
     # "-h" after a flag that simulate does not take is a request for help
-    @example(command="simulate", config={}, labels=None, flags={"--k": "-h"})
-    def test_exits_0_or_2_with_one_error_line(self, command, config, labels, flags):
+    @example(command="simulate", config={}, labels=None, sidecar=None, flags={"--k": "-h"})
+    def test_exits_0_or_2_with_one_error_line(self, command, config, labels, sidecar,
+                                              flags):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             rng = np.random.default_rng(0)
@@ -935,12 +986,14 @@ class TestCliFuzz:
                 config = {key: str(tmp / value) if key in _PATH_KEYS
                           and isinstance(value, str) and value else value
                           for key, value in config.items()}
-            (tmp / "cfg.json").write_text(json.dumps(config))
+            if sidecar is not None:
+                hio.sidecar_path(tmp / "g.emb").write_text(json.dumps(sidecar))
+            (tmp / "cfg.json").write_bytes(_json_bytes(config))
             argv = [command, "--config", str(tmp / "cfg.json"), "--out", str(tmp / "out")]
             if command in ("analyze", "retrieve"):
                 argv += ["--queries", str(tmp / "q.emb"), "--galleries", str(tmp / "g.emb")]
             if command == "retrieve" and labels is not None:
-                (tmp / "labels.json").write_text(json.dumps(labels))
+                (tmp / "labels.json").write_bytes(_json_bytes(labels))
                 argv += ["--labels", str(tmp / "labels.json")]
             if command == "probe":
                 argv += ["--texts", str(tmp / "t.emb")]
