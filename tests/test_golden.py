@@ -8,9 +8,17 @@ the arithmetic of a training step. A refactor of the trainer or of the
 config plumbing must leave this file passing unchanged.
 
 Regenerate the recording (only when a change of behaviour is intended)
-with ``PYTHONPATH=src python tests/test_golden.py``.
+with ``PYTHONPATH=src python tests/test_golden.py``, in a commit of its
+own. Before it writes, it prints each case and recorded value with its
+largest absolute and relative change against the file it replaces; that
+report goes into CHANGES.md.
+
+``SIMULATE_DIGESTS`` pins the bytes that ``simulate --seed 1`` writes for
+the benchmark's three inputs. Nothing regenerates them: a change to those
+bytes changes what every benchmark workload runs on.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -18,6 +26,7 @@ import numpy as np
 import pytest
 
 from hublab import TrainConfig, synth_generate, train
+from hublab.cli import main
 from hublab.config import config_digest, resolve_config, train_config_from
 from hublab.trainer import CURVE_COLUMNS
 
@@ -43,6 +52,20 @@ DEFAULT_DIGESTS = {
     "retrieve": "9401d5880e02",
     "simulate": "591d51d07399",
     "probe": "e94e10e25d4d",
+}
+
+# the benchmark's simulate configs by n_pairs, each with the sha256 of the
+# galleries.emb and queries.emb that simulate --seed 1 writes
+SIMULATE_DIGESTS = {
+    128: ({"dim": 64, "noise": 0.5},
+          "0fd41210efe0b36a5bc7d47b53bac8e9f2cd16c1648770bcecbd9f3fe8a7341b",
+          "f804dfd0529ab3e306e8ef511c7d747ce74f39a2edd3d8e56d0d9fec8b63f66d"),
+    512: ({"dim": 64, "noise": 0.5},
+          "7a1d131e5746f20ebf917ec6aa4e68b0ad9be0b9d4b91a45a42a3eecaf29e32f",
+          "1f2954c2504b8d2c6167907b527abc13e8369088d286dc53567b9ef7b2dde031"),
+    3000: ({},
+           "ba2b5ef6a09b6fd393cb2738e58313d6bac2002be1f51e89b0a62a1cc33da3ce",
+           "6e29ce041c27264098f9deaa0d71d14017cee8f74bbf92bd935d33e596cc4753"),
 }
 
 
@@ -100,7 +123,47 @@ def test_default_train_config_round_trip():
     assert train_config_from(resolve_config({}, {})) == TrainConfig()
 
 
+@pytest.mark.parametrize("n_pairs", sorted(SIMULATE_DIGESTS))
+def test_simulate_bytes(n_pairs, tmp_path, capsys):
+    extra, galleries, queries = SIMULATE_DIGESTS[n_pairs]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_pairs": n_pairs, **extra}))
+    assert main(["simulate", "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    run = Path(capsys.readouterr().out.strip())
+    for name, digest in (("galleries.emb", galleries), ("queries.emb", queries)):
+        assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
+
+
+def _leaves(record: dict) -> dict:
+    """Every recorded value of one case by name, ``curve.total`` for a key
+    of a nested dict, as a flat list of numbers."""
+    leaves = {}
+    for key, value in record.items():
+        parts = value.items() if isinstance(value, dict) else [(None, value)]
+        for sub, item in parts:
+            leaves[key if sub is None else f"{key}.{sub}"] = _numbers(item)
+    return leaves
+
+
+def _report(old: dict, new: dict) -> None:
+    """Print each case and recorded value with its largest absolute and
+    relative change from ``old`` to ``new``."""
+    for case in sorted(new):
+        before = _leaves(old.get(case, {}))
+        for name, values in sorted(_leaves(new[case]).items()):
+            if len(before.get(name, [])) != len(values):
+                print(f"{case} {name}: {len(before.get(name, []))} -> {len(values)} values")
+                continue
+            was, now = np.array(before[name]), np.array(values)
+            change = np.abs(now - was)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.where(change == 0, 0.0, change / np.abs(was))
+            print(f"{case} {name}: abs {change.max():.2g} rel {rel.max():.2g}")
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({case: _record(case) for case in sorted(CASES)},
-                                 sort_keys=True, indent=1) + "\n")
+    recording = {case: _record(case) for case in sorted(CASES)}
+    _report(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}, recording)
+    GOLDEN.write_text(json.dumps(recording, sort_keys=True, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
