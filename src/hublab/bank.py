@@ -59,6 +59,7 @@ def _centrality(stored: np.ndarray, samples: EmbeddingSet) -> np.ndarray:
         raise EmptyBank("centrality requested against an empty queue")
     if samples.dim != stored.shape[1]:
         raise ShapeMismatch(f"sample dim {samples.dim} != bank dim {stored.shape[1]}")
+    # not row_norms: benchmarks/oracle.py repeats this sum, compared by repr
     norms = np.sqrt((samples.data ** 2).sum(axis=1))
     unit = samples.data / norms[:, None]
     # one block of samples at a time: the full gram would be n x fill

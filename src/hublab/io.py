@@ -11,8 +11,8 @@ Layout (all integers little-endian):
     payload n*d float32, row-major, little-endian
 
 A sidecar ``<stem>.meta.json`` next to the file optionally carries row
-ids (a list) and labels (a list of integers or nulls). Reads and writes
-round-trip the payload bit-exactly.
+ids (a list of strings, numbers, booleans or nulls) and labels (a list of
+integers or nulls). Reads and writes round-trip the payload bit-exactly.
 """
 
 from __future__ import annotations
@@ -111,6 +111,8 @@ def read_embeddings(path) -> tuple[np.ndarray, str, dict]:
         ids, labels = meta.get("ids"), meta.get("labels")
         if ids is not None and not isinstance(ids, list):
             raise FormatError(f"{side}: ids must be a list")
+        if ids and any(isinstance(v, (dict, list)) for v in ids):
+            raise FormatError(f"{side}: ids must not be JSON objects or lists")
         # type() and not isinstance(), which would let true and false through
         if labels is not None and (not isinstance(labels, list) or any(
                 v is not None and type(v) is not int for v in labels)):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import row_norms
 from .errors import OutOfRange, ShapeMismatch
 
 _WEIGHT_ATOL = 1e-9
@@ -49,7 +50,7 @@ class TokenSet:
 
 
 def _unit_rows(tokens: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((tokens ** 2).sum(axis=1, keepdims=True))
+    norms = row_norms(tokens)[:, None]
     norms = np.where(norms < 1e-12, 1.0, norms)
     return tokens / norms
 

@@ -36,6 +36,7 @@ from .core import (
     cosine_similarity_matrix,  # not called here; benchmarks/spans.py wraps it by name
     l2_normalize,
     opposite,
+    row_norms,
 )
 from .errors import DivergenceDetected, NotConverged, OutOfRange
 from .hubness import ATKINSON_EPSILON, HUB_SIZE_FACTOR, hubness_report
@@ -172,7 +173,7 @@ def synth_generate(n_pairs: int, d: int, hub_fraction: float,
     anchor = anchor_rng.normal(size=d)
     anchor /= np.linalg.norm(anchor)
     raw = _ANCHOR_SCALE * np.sqrt(d) * anchor + z_rng.normal(size=(n_pairs, d))
-    galleries = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    galleries = raw / row_norms(raw)[:, None]
 
     planted = np.zeros(n_pairs, dtype=bool)
     n_hub = int(round(hub_fraction * n_pairs))
@@ -181,12 +182,12 @@ def synth_generate(n_pairs: int, d: int, hub_fraction: float,
         planted[chosen] = True
         centroid = galleries.mean(axis=0)
         moved = centroid + contraction * (galleries[chosen] - centroid)
-        galleries[chosen] = moved / np.linalg.norm(moved, axis=1, keepdims=True)
+        galleries[chosen] = moved / row_norms(moved)[:, None]
 
     if noise > 0:
         # noise is the expected perturbation norm relative to the unit mate
         jitter = galleries + noise / np.sqrt(d) * noise_rng.normal(size=(n_pairs, d))
-        queries = jitter / np.linalg.norm(jitter, axis=1, keepdims=True)
+        queries = jitter / row_norms(jitter)[:, None]
     else:
         queries = galleries.copy()
 
@@ -205,7 +206,7 @@ def _finite_norms(raw: np.ndarray) -> np.ndarray:
     """Row norms of raw embeddings; diverged parameters show here first, as an
     overflowed norm would silently zero its row and leave NaN for later."""
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        norms = row_norms(raw)[:, None]
     if not np.all(np.isfinite(norms) & (norms > 0)):
         raise DivergenceDetected("embedding norms overflowed or vanished")
     return norms
@@ -245,9 +246,7 @@ class _TableModel(_Model):
     """One learnable vector per sample, renormalized after every step."""
 
     def __init__(self, queries: EmbeddingSet, galleries: EmbeddingSet):
-        # the rows arrive unit; normalizing them once more is not a no-op
-        # in the last bit, and the trained tables keep the bits it gives
-        self.params = [l2_normalize(e).data.copy() for e in (queries, galleries)]
+        self.params = [queries.data, galleries.data]
 
     def _raw(self, idx):
         return [table[idx] for table in self.params]
@@ -267,7 +266,7 @@ class _ProjectionModel(_Model):
     """Shared-dimension linear heads over frozen features, one per modality."""
 
     def __init__(self, queries: EmbeddingSet, galleries: EmbeddingSet):
-        self.feats = [queries.data.copy(), galleries.data.copy()]
+        self.feats = [queries.data, galleries.data]
         self.params = [np.eye(queries.dim), np.eye(galleries.dim)]
 
     def _raw(self, idx):
@@ -356,7 +355,7 @@ def _queue_centrality(unit_rows: np.ndarray, queue_mean: np.ndarray | None) -> n
 
     By linearity this is ``bank.intra_centrality``/``cross_centrality`` up
     to rounding, for O(fill·d) work in place of their O(rows·fill·d) gram.
-    Those keep the gram because ``retrieve --mode simi-cent`` writes its bits
+    Those stay a gram because ``retrieve --mode simi-cent`` writes its scores
     to ranked.csv, which the benchmark oracle compares exactly; the two forms
     merge once that oracle follows (ROADMAP item 1).
     """
@@ -399,8 +398,7 @@ def compute_targets(config: TrainConfig, bank: MemoryBank, eq: np.ndarray,
         plan = sinkhorn_plan(SimilarityMatrix(grids.scores, config.temperature),
                              config.epsilon_sinkhorn, config.sinkhorn_tol,
                              config.sinkhorn_max_iter)
-        # a contiguous copy, so the g2q row sums keep their bits
-        plans = {"q2g": plan.q, "g2q": plan.q.T.copy()}
+        plans = {"q2g": plan.q, "g2q": plan.q.T}
 
     means = _queue_means(bank)
     directions = {}

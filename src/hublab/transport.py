@@ -179,8 +179,8 @@ def sinkhorn_plan(s: SimilarityMatrix, epsilon: float,
 def blend_targets(q: np.ndarray, beta: float) -> np.ndarray:
     """Mix the identity with the row-stochastic rescaled plan matrix q.
 
-    The plan's rows sum to 1/B; multiplying by B (and dividing out the
-    residual row error) makes it row-stochastic, after which the blend is
+    The plan's rows sum to 1/B up to its residual; dividing each row by its
+    sum makes it the row-stochastic B Q, after which the blend is
     (1 - beta) I + beta (B Q), whose rows sum to 1.
     """
     b, m = q.shape
@@ -188,9 +188,7 @@ def blend_targets(q: np.ndarray, beta: float) -> np.ndarray:
         raise ShapeMismatch(f"blending needs a square plan, got {b}x{m}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    scaled = q * b
-    scaled = scaled / scaled.sum(axis=1, keepdims=True)
-    return (1.0 - beta) * np.eye(b) + beta * scaled
+    return (1.0 - beta) * np.eye(b) + beta * (q / q.sum(axis=1, keepdims=True))
 
 
 def loss_opt(s: SimilarityMatrix, q: np.ndarray) -> LossBundle:

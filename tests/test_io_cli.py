@@ -668,9 +668,11 @@ def _probe_argv(probe: str, tmp_path: Path, rng) -> list:
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"[" * 100_000 if probe == "config-deep" else b"\xff\xfe{}")
         return ["simulate", "--config", str(cfg)]
-    if probe in ("sidecar-ids-object", "sidecar-ids-string"):
-        # both have a length of 4, the row count, so only their type is wrong
-        ids = {"a": 1, "b": 2, "c": 3, "d": 4} if probe == "sidecar-ids-object" else "abcd"
+    if probe in ("sidecar-ids-object", "sidecar-ids-string", "sidecar-ids-nested"):
+        # each has a length of 4, the row count, so only their type is wrong
+        ids = {"sidecar-ids-object": {"a": 1, "b": 2, "c": 3, "d": 4},
+               "sidecar-ids-string": "abcd",
+               "sidecar-ids-nested": [{"a": 1}, [1], None, True]}[probe]
         hio.sidecar_path(g).write_text(json.dumps({"ids": ids}))
         return ["retrieve", "--queries", str(q), "--galleries", str(g)]
     if probe in ("config-k-neighbors", "config-n-pairs", "config-atkinson"):
@@ -816,6 +818,8 @@ _PROBE_ERRORS = {
     "labels-bare-list": r"error: \S+labels\.json: labels must be a JSON object$",
     "sidecar-ids-object": r"error: \S+g\.meta\.json: ids must be a list$",
     "sidecar-ids-string": r"error: \S+g\.meta\.json: ids must be a list$",
+    "sidecar-ids-nested": r"error: \S+g\.meta\.json: ids must not be JSON objects "
+                          r"or lists$",
 }
 
 
@@ -831,7 +835,8 @@ class TestBadInput:
         "sinkhorn-overflow", "train-k-too-large", "label-bool", "diverge-temperature",
         "deep-sidecar", "train-batch-1", "train-one-pair", "train-batch-over-bank",
         "flag-not-int", "missing-command", "config-deep", "config-not-utf8",
-        "labels-deep", "labels-bare-list", "sidecar-ids-object", "sidecar-ids-string"])
+        "labels-deep", "labels-bare-list", "sidecar-ids-object", "sidecar-ids-string",
+        "sidecar-ids-nested"])
     # a NumPy RuntimeWarning would print ahead of the error line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2_with_error_line_and_no_artifacts(self, probe, tmp_path,

@@ -18,6 +18,7 @@ from hublab import (
     synth_generate,
     train,
 )
+from hublab.core import l2_normalize, row_norms
 from hublab.errors import DivergenceDetected, NonFiniteLoss, OutOfRange
 from hublab.losses import LossBundle, loss_nbi, loss_wti, neighbor_targets
 from hublab.transport import loss_opt
@@ -178,6 +179,16 @@ class TestTraining:
         assert result.report_before == result.report_after
         np.testing.assert_allclose(result.queries.data,
                                    tiny_data.queries.data, atol=1e-15)
+
+    @pytest.mark.parametrize("model", ["embedding-table", "linear-projection"])
+    def test_training_starts_from_rows_normalized_once(self, tiny_data, model):
+        # both models take the unit rows as they are; the forward pass then
+        # normalizes them by row_norms, the one row norm of the package
+        result = train(small_config(learning_rate=0.0, epochs=1, model=model), tiny_data)
+        for got, rows in ((result.queries, tiny_data.queries),
+                          (result.galleries, tiny_data.galleries)):
+            unit = l2_normalize(rows).data
+            np.testing.assert_array_equal(got.data, unit / row_norms(unit)[:, None])
 
     def test_bitwise_determinism(self, tiny_data):
         a = train(small_config(), tiny_data)
