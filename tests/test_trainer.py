@@ -183,7 +183,7 @@ class TestTraining:
     @pytest.mark.parametrize("model", ["embedding-table", "linear-projection"])
     def test_training_starts_from_rows_normalized_once(self, tiny_data, model):
         # both models take the unit rows as they are; the forward pass then
-        # normalizes them by row_norms, the one row norm of the package
+        # normalizes them by row_norms, the one row norm of the training path
         result = train(small_config(learning_rate=0.0, epochs=1, model=model), tiny_data)
         for got, rows in ((result.queries, tiny_data.queries),
                           (result.galleries, tiny_data.galleries)):
