@@ -87,8 +87,13 @@ def loss_wti(s: SimilarityMatrix, w: np.ndarray) -> LossBundle:
     if w.shape != (s.n,):
         raise ShapeMismatch(f"weight vector has shape {w.shape}, expected ({s.n},)")
     b = s.n
-    value = (-w * np.diag(row_log_softmax(s.scores, s.temperature))).mean()
-    grad = row_softmax(s.scores, s.temperature)
+    # the z, exp(z) and row sums of row_softmax and row_log_softmax, taken once
+    z = s.scores / s.temperature
+    z -= z.max(axis=1, keepdims=True)
+    grad = np.exp(z)
+    sums = grad.sum(axis=1, keepdims=True)
+    value = (-w * (np.diag(z) - np.log(sums[:, 0]))).mean()
+    grad /= sums
     grad[np.arange(b), np.arange(b)] -= 1.0
     grad *= w[:, None] / (b * s.temperature)
     return LossBundle(float(value), grad)

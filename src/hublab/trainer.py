@@ -293,7 +293,12 @@ def _build_model(config: TrainConfig, data: PairedData) -> _Model:
 
 
 class Adam:
-    """Plain Adam over a list of parameter arrays."""
+    """Plain Adam over a list of parameter arrays.
+
+    ``step`` updates the moments and the parameters in place, through one
+    scratch array per parameter, and takes each gradient array as a second
+    scratch once the moments have read it.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -304,22 +309,25 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self.scratch = [np.empty_like(p) for p in params]
 
     def step(self, params, grads):
         self.t += 1
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, s in zip(params, grads, self.m, self.v, self.scratch):
             m *= self.BETA1
-            m += (1 - self.BETA1) * g
+            m += np.multiply(1 - self.BETA1, g, out=s)
             v *= self.BETA2
             # g * g overflows long before g does, and an infinite moment
             # would turn every later update of its entries into 0
             with np.errstate(over="ignore"):
-                v += (1 - self.BETA2) * g * g
+                v += np.multiply(np.multiply(1 - self.BETA2, g, out=s), g, out=s)
             if not np.all(np.isfinite(v)):
                 raise DivergenceDetected("Adam second moment overflowed")
-            m_hat = m / (1 - self.BETA1 ** self.t)
-            v_hat = v / (1 - self.BETA2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            # lr * m_hat / (sqrt(v_hat) + EPS), the gradient now spent
+            step = np.multiply(self.lr, np.divide(m, 1 - self.BETA1 ** self.t, out=g), out=g)
+            denom = np.add(np.sqrt(np.divide(v, 1 - self.BETA2 ** self.t, out=s), out=s),
+                           self.EPS, out=s)
+            p -= np.divide(step, denom, out=g)
 
 
 @dataclass
