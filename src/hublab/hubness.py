@@ -150,14 +150,16 @@ class RelevanceLabels:
         return np.stack(np.divmod(self.keys, self.shape[1]), axis=1).tolist()
 
 
-def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
+def top_k_indices(scores: np.ndarray, k: int, *,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """Row-wise top-k column indices by descending score, ties to lower index,
     equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``.
 
     A row of at least ``PRUNE_COLUMNS_PER_K * k`` columns first drops every
     column outside its k best groups (see the module docstring). What is
     left goes to ``_partition_top_k``; when k is outside (0, m), the rows
-    are sorted in full.
+    are sorted in full. Narrower rows go to ``_threshold_top_k`` instead
+    when ``scratch``, a float64 array of at least n * m entries, is given.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -165,6 +167,8 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     if not 0 < k < m:
         return np.argsort(-scores, axis=1, kind="stable")[:, :k]
     if m < PRUNE_COLUMNS_PER_K * k:
+        if scratch is not None:
+            return _threshold_top_k(scores, k, scratch)
         return _partition_top_k(scores, k)
     c, g = _GROUP_WIDTH, m // _GROUP_WIDTH
     group_max = scores[:, :c * g].reshape(n, c, g).max(axis=1)
@@ -209,6 +213,30 @@ def _partition_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     # in full
     kth = kept_scores.min(axis=1)
     tied = np.flatnonzero((scores >= kth[:, None]).sum(axis=1) != k)
+    top[tied] = np.argsort(-scores[tied], axis=1, kind="stable")[:, :k]
+    return top
+
+
+def _threshold_top_k(scores: np.ndarray, k: int, scratch: np.ndarray) -> np.ndarray:
+    """``top_k_indices`` for 0 < k < m from a copy of the scores partitioned
+    in ``scratch``, so no n x m array is allocated.
+
+    Each row keeps the columns that reach its k-th score, in column order,
+    which then get a stable sort. A row that keeps other than k columns, as
+    a tie with its k-th score or a NaN makes it, is sorted in full.
+    """
+    n, m = scores.shape
+    part = scratch[:n * m].reshape(n, m)
+    np.copyto(part, scores)
+    part.partition(m - k, axis=1)
+    # the partition ranks NaN above every number, so a row holding one has a
+    # k-th score (or NaN) that fewer than k columns reach
+    keep = scores >= part[:, m - k, None]
+    tied = np.flatnonzero(np.count_nonzero(keep, axis=1) != k)
+    keep[tied] = np.arange(m) < k
+    cols = np.flatnonzero(keep).reshape(n, k) % m
+    order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(cols, order, axis=1)
     top[tied] = np.argsort(-scores[tied], axis=1, kind="stable")[:, :k]
     return top
 

@@ -74,6 +74,15 @@ class NeighborSet:
     def plus_indices(self) -> np.ndarray:
         return np.concatenate([self.ground_truth[:, None], self.members], axis=1)
 
+    def scatter(self, values: np.ndarray, m: int) -> np.ndarray:
+        """An n x m grid, zero but for ``values``, laid out like
+        ``plus_indices``, at those columns; a column at or past m is left out."""
+        plus = self.plus_indices
+        grid = np.zeros((plus.shape[0], m))
+        inside = plus < m
+        grid[np.nonzero(inside)[0], plus[inside]] = values[inside]
+        return grid
+
 
 def loss_wti(s: SimilarityMatrix, w: np.ndarray) -> LossBundle:
     """Centrality-weighted contrastive loss over a square batch.
@@ -100,11 +109,13 @@ def loss_wti(s: SimilarityMatrix, w: np.ndarray) -> LossBundle:
 
 
 def select_neighbors(s: SimilarityMatrix, k: int,
-                     ground_truth: np.ndarray | None = None) -> NeighborSet:
+                     ground_truth: np.ndarray | None = None, *,
+                     scratch: np.ndarray | None = None) -> NeighborSet:
     """Top-k columns of every row by raw score, each row's ground truth excluded.
 
     ``ground_truth`` holds one column per row and defaults to the diagonal.
     Ties break toward the lower column index; k is clamped to m - 1.
+    ``scratch`` goes to ``top_k_indices``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -116,7 +127,7 @@ def select_neighbors(s: SimilarityMatrix, k: int,
     if np.any((gt < 0) | (gt >= s.m)):
         raise ValueError(f"a ground-truth column lies outside [0, {s.m})")
     k = min(k, s.m - 1)
-    top = top_k_indices(s.scores, k + 1)
+    top = top_k_indices(s.scores, k + 1, scratch=scratch)
     drop = top == gt[:, None]
     # a row whose ground truth is not among its top k+1 drops its last column
     drop[~drop.any(axis=1), -1] = True
@@ -149,9 +160,12 @@ def loss_nbi(s: SimilarityMatrix, h: np.ndarray, ns: NeighborSet,
     Per anchor, -sum_t H_t log P_t over the ground truth plus members, where
     P is the softmax of the raw scores restricted to those columns.
 
-    mode 'exact' returns the true derivative of this value given fixed
-    targets, (P_t * sum(H) - H_t) / tau per anchor; since the pinned ground
-    truth makes sum(H) = 2, this is what finite differences reproduce. mode
+    The gradient is local: an (n, k+1) array laid out like
+    ``ns.plus_indices``, every other score's derivative being 0
+    (``NeighborSet.scatter`` spreads it over the grid). mode 'exact' returns
+    the true derivative of this value given fixed targets,
+    (P_t * sum(H) - H_t) / tau per anchor; since the pinned ground truth
+    makes sum(H) = 2, this is what finite differences reproduce. mode
     'paper' emits the plain difference P_t - H_t, the simplified form that
     assumes the targets are themselves a normalized distribution. Either is
     divided by the number of anchors, as the value is a mean.
@@ -169,10 +183,8 @@ def loss_nbi(s: SimilarityMatrix, h: np.ndarray, ns: NeighborSet,
         local = (p * h.sum(axis=1, keepdims=True) - h) / s.temperature
     else:
         local = p - h
-    grad = np.zeros_like(s.scores)
-    np.put_along_axis(grad, plus, local, axis=1)
-    grad /= s.n
-    return LossBundle(float(-(h * logp).sum(axis=1).mean()), grad)
+    local /= s.n
+    return LossBundle(float(-(h * logp).sum(axis=1).mean()), local)
 
 
 def loss_kl(low: SimilarityMatrix, high: SimilarityMatrix) -> LossBundle:

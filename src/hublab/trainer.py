@@ -45,6 +45,7 @@ from .losses import (
     GRAD_MODE_PAPER,
     LOSS_PARTS,
     LossBundle,
+    NeighborSet,
     loss_kl,  # not called here; benchmarks/spans.py wraps hublab.trainer.loss_kl by name
     loss_nbi,
     loss_wti,
@@ -373,8 +374,44 @@ def _queue_centrality(unit_rows: np.ndarray, queue_mean: np.ndarray | None) -> n
 
 
 @dataclass
+class _RunBuffers:
+    """Arrays that one ``train`` call allocates once and every step reuses.
+
+    Each is flat, and a step takes a contiguous view of its leading entries
+    (``_view``), so a smaller last batch or a bank that is still filling
+    fits. With NBI on, ``scratch`` holds the copy of a candidate grid that
+    neighbor selection partitions; with the bank pool on, ``grids`` holds
+    one candidate grid per direction. Both are batch x (batch +
+    ``bank_capacity``), or batch x batch for the batch pool. ``gathered``
+    holds each anchor's k + 1 candidate rows of the bank pool gradient,
+    batch x (k_neighbors + 1) x dim.
+    """
+
+    grids: dict  # "q2g" / "g2q" -> flat array
+    scratch: np.ndarray | None
+    gathered: np.ndarray | None
+
+
+def _run_buffers(config: TrainConfig, batch: int, dim: int) -> _RunBuffers:
+    """Buffers for steps of at most ``batch`` rows of ``dim`` columns."""
+    if not config.use_nbi:
+        return _RunBuffers({}, None, None)
+    if config.neighbor_pool == POOL_BATCH:
+        return _RunBuffers({}, np.empty(batch * batch), None)
+    size = batch * (batch + config.bank_capacity)
+    return _RunBuffers({name: np.empty(size) for name in ("q2g", "g2q")}, np.empty(size),
+                       np.empty(batch * (config.k_neighbors + 1) * dim))
+
+
+def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading entries of a flat buffer as a C-contiguous array of ``shape``."""
+    return buffer[:np.prod(shape)].reshape(shape)
+
+
+@dataclass
 class _StepGrids:
-    """One step's scores, each built once from its embeddings.
+    """One step's scores, each built once from its embeddings, and the
+    buffers that hold them.
 
     ``scores`` is the batch grid eq @ eg.T. ``candidates`` maps each
     direction to its candidate grid, the batch columns and then any
@@ -384,22 +421,48 @@ class _StepGrids:
 
     scores: np.ndarray
     candidates: dict  # "q2g" / "g2q" -> SimilarityMatrix
+    buffers: _RunBuffers
 
 
 def _candidate_grid(config: TrainConfig, anchors: np.ndarray, scores: np.ndarray,
-                    pool: np.ndarray | None) -> SimilarityMatrix:
-    """Batch scores of one direction, widened by the bank-pool columns."""
+                    pool: np.ndarray | None, buffer: np.ndarray | None) -> SimilarityMatrix:
+    """Batch scores of one direction, widened by the bank-pool columns, in
+    ``buffer`` when there is a pool."""
     if pool is not None:
-        scores = np.concatenate([scores, anchors @ pool.T], axis=1)
+        b = scores.shape[1]
+        grid = _view(buffer, (anchors.shape[0], b + pool.shape[0]))
+        grid[:, :b] = scores
+        np.matmul(anchors, pool.T, out=grid[:, b:])
+        scores = grid
     return SimilarityMatrix(scores, config.temperature)
 
 
+def _pool_gradient(ns: NeighborSet, local: np.ndarray, pool: np.ndarray, b: int,
+                   buffer: np.ndarray) -> np.ndarray:
+    """dL/d(anchors) through the bank-pool columns (index b onward) of a
+    candidate grid, from the NBI gradient ``local`` over ``ns.plus_indices``:
+    each anchor's sum of local[i, t] * pool[plus[i, t] - b] over its pool
+    columns, from the rows gathered into ``buffer``."""
+    plus = ns.plus_indices
+    in_pool = plus >= b
+    # every index is valid, and unlike the default "raise", "clip" writes
+    # straight into out instead of through a temporary of its size
+    rows = np.take(pool, np.where(in_pool, plus - b, 0), axis=0,
+                   out=_view(buffer, (*plus.shape, pool.shape[1])), mode="clip")
+    return np.matmul(np.where(in_pool, local, 0.0)[:, None, :], rows)[:, 0]
+
+
 def compute_targets(config: TrainConfig, bank: MemoryBank, eq: np.ndarray,
-                    eg: np.ndarray) -> tuple[_BatchTargets, _StepGrids]:
+                    eg: np.ndarray, *, buffers: _RunBuffers | None = None
+                    ) -> tuple[_BatchTargets, _StepGrids]:
     """All per-step constants (weights, neighbor targets, transport targets)
-    and the step's grids, which ``batch_loss`` takes over the same eq, eg."""
+    and the step's grids, which ``batch_loss`` takes over the same eq, eg.
+
+    The grids go into ``buffers``, the run's, or into fresh ones."""
     b = eq.shape[0]
-    grids = _StepGrids(eq @ eg.T, {})
+    if buffers is None:
+        buffers = _run_buffers(config, *eq.shape)
+    grids = _StepGrids(eq @ eg.T, {}, buffers)
 
     plan = None
     if config.use_opt:
@@ -428,8 +491,9 @@ def compute_targets(config: TrainConfig, bank: MemoryBank, eq: np.ndarray,
             cross = _queue_centrality(cands, anchor_mean)
             if pool is not None:
                 cross = np.concatenate([cross, _queue_centrality(pool, anchor_mean)])
-            s = grids.candidates[name] = _candidate_grid(config, anchors, dir_scores, pool)
-            ns = select_neighbors(s, config.k_neighbors)
+            s = grids.candidates[name] = _candidate_grid(
+                config, anchors, dir_scores, pool, grids.buffers.grids.get(name))
+            ns = select_neighbors(s, config.k_neighbors, scratch=grids.buffers.scratch)
             nbi = ns, neighbor_targets(s, ns, cross)
         opt = blend_targets(plans[name], config.beta) if config.use_opt else None
         directions[name] = _Direction(weights, pool, nbi, opt)
@@ -448,9 +512,9 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
     Returns (value, per-part values, dL/d(eq), dL/d(eg)), the last two
     through the batch grid and any bank-pool neighbor columns.
     """
-    if grids is None:
-        grids = _StepGrids(eq @ eg.T, {})
     b = eq.shape[0]
+    if grids is None:
+        grids = _StepGrids(eq @ eg.T, {}, _run_buffers(config, *eq.shape))
     parts = {}
     pool_grads = {}
     for name, anchors, dir_scores in (("q2g", eq, grids.scores),
@@ -464,12 +528,14 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
             ns, h = target.nbi
             cand = grids.candidates.pop(name, None)
             if cand is None:
-                cand = _candidate_grid(config, anchors, dir_scores, target.pool)
+                cand = _candidate_grid(config, anchors, dir_scores, target.pool,
+                                       grids.buffers.grids.get(name))
             nbi = loss_nbi(cand, h, ns, config.grad_mode)
             # the batch columns come first, then any bank-pool columns
-            part["nbi"] = LossBundle(nbi.value, nbi.grad[:, :b])
+            part["nbi"] = LossBundle(nbi.value, ns.scatter(nbi.grad, b))
             if target.pool is not None:
-                pool_grads[name] = 0.5 * (nbi.grad[:, b:] @ target.pool)
+                pool_grads[name] = 0.5 * _pool_gradient(ns, nbi.grad, target.pool, b,
+                                                        grids.buffers.gathered)
         if config.use_opt:
             part["opt"] = loss_opt(s, target.opt)
 
@@ -485,11 +551,29 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
 def train(config: TrainConfig, data: PairedData) -> TrainResult:
     """Run the optimization loop and report hubness before and after."""
     model = _build_model(config, data)
+    report_before = _full_report(config, *model.full_embeddings())
+    curve, full_q, full_g = _descend(config, data, model)
+    report_after = _full_report(config, full_q, full_g)
+    return TrainResult(
+        queries=EmbeddingSet(full_q, MODALITY_QUERY,
+                             data.queries.ids, data.queries.labels),
+        galleries=EmbeddingSet(full_g, MODALITY_GALLERY,
+                               data.galleries.ids, data.galleries.labels),
+        loss_curve=curve,
+        report_before=report_before,
+        report_after=report_after,
+    )
+
+
+def _descend(config: TrainConfig, data: PairedData,
+             model: _Model) -> tuple[list, np.ndarray, np.ndarray]:
+    """The optimization loop: its loss curve and the trained unit rows of
+    both sides. The bank, the optimizer state and the run's buffers live
+    only as long as this call."""
     bank = MemoryBank(config.bank_capacity, data.queries.dim)
     adam = Adam(model.params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
-
-    report_before = _full_report(config, *model.full_embeddings())
+    buffers = _run_buffers(config, min(config.batch_size, data.n), data.queries.dim)
     frozen = config.learning_rate == 0.0
     curve: list[dict] = []
     step = 0
@@ -501,7 +585,7 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
                 if idx.size < 2:
                     continue
                 eq, eg, norms = model.forward(idx)
-                targets, grids = compute_targets(config, bank, eq, eg)
+                targets, grids = compute_targets(config, bank, eq, eg, buffers=buffers)
                 value, part_values, d_eq, d_eg = batch_loss(config, eq, eg,
                                                             targets, grids)
                 if not frozen:
@@ -519,22 +603,11 @@ def train(config: TrainConfig, data: PairedData) -> TrainResult:
                     "sinkhorn_iterations": plan.iterations_used if plan else 0,
                 })
                 step += 1
-        full_q, full_g = model.full_embeddings()
+        return (curve, *model.full_embeddings())
     except (DivergenceDetected, NotConverged) as exc:
         # the same exception, so its class and attributes are kept
         exc.args = (f"{exc} at step {step}",)
         raise
-
-    report_after = _full_report(config, full_q, full_g)
-    return TrainResult(
-        queries=EmbeddingSet(full_q, MODALITY_QUERY,
-                             data.queries.ids, data.queries.labels),
-        galleries=EmbeddingSet(full_g, MODALITY_GALLERY,
-                               data.galleries.ids, data.galleries.labels),
-        loss_curve=curve,
-        report_before=report_before,
-        report_after=report_after,
-    )
 
 
 def _full_report(config: TrainConfig, full_q: np.ndarray,

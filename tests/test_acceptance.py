@@ -86,7 +86,7 @@ class TestCriterion1GradientFidelity:
         out = loss_nbi(s, h, ns, "exact")
         fd = fd_grad(lambda x: loss_nbi(SimilarityMatrix(x), h, ns, "exact").value,
                      scores)
-        worst["nbi"] = max_rel_error(out.grad, fd)
+        worst["nbi"] = max_rel_error(ns.scatter(out.grad, s.m), fd)
 
         raw = rng.uniform(0.1, 1.0, size=(8, 8))
         target = raw / raw.sum(axis=1, keepdims=True)
@@ -130,11 +130,12 @@ class TestCriterion2PaperGradient:
             logits = np.take_along_axis(scores, plus, axis=1)
             p = np.exp(logits - logits.max(axis=1, keepdims=True))
             p /= p.sum(axis=1, keepdims=True)
-            emitted = 4 * np.take_along_axis(out.grad, plus, axis=1)
+            grad = ns.scatter(out.grad, m)
+            emitted = 4 * np.take_along_axis(grad, plus, axis=1)
             worst = max(worst, np.abs(emitted - (p - h)).max())
             outside = np.ones_like(scores, dtype=bool)
             np.put_along_axis(outside, plus, False, axis=1)
-            worst = max(worst, np.abs(out.grad[outside]).max(initial=0.0))
+            worst = max(worst, np.abs(grad[outside]).max(initial=0.0))
         ok = worst < 1e-12
         report(2, ok, f"paper-mode gradient equals P - H to {worst:.2e} (< 1e-12)")
         assert ok

@@ -99,6 +99,23 @@ class TestKOccurrence:
             assert got.shape == (scores.shape[0], k)
             np.testing.assert_array_equal(got, reference[:, :k])
 
+    @given(st.one_of(
+        arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+               elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])),
+        arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+               elements=st.sampled_from([-np.inf, -1.0, 0.0, 1.0, np.inf, np.nan])),
+        arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+               elements=st.floats(-1.0, 1.0) | st.just(np.nan))))
+    @settings(max_examples=600, deadline=None)
+    def test_top_k_with_scratch_equals_stable_argsort(self, scores):
+        # the selection that partitions a copy in a caller's buffer
+        reference = np.argsort(-scores, axis=1, kind="stable")
+        scratch = np.empty(scores.size + 5)
+        for k in range(scores.shape[1] + 1):
+            got = top_k_indices(scores, k, scratch=scratch)
+            assert got.shape == (scores.shape[0], k)
+            np.testing.assert_array_equal(got, reference[:, :k])
+
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0, got -1"):
             top_k_indices(np.eye(4), -1)

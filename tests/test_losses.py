@@ -217,7 +217,7 @@ class TestLossNbi:
         out = loss_nbi(s, h, ns, GRAD_MODE_EXACT)
         fd = fd_grad(lambda x: loss_nbi(SimilarityMatrix(x), h, ns).value,
                      s.scores)
-        assert max_rel_error(out.grad, fd) < 1e-6
+        assert max_rel_error(ns.scatter(out.grad, s.m), fd) < 1e-6
 
     def test_exact_gradient_with_temperature(self, rng):
         scores = rng.normal(size=(2, 9))
@@ -228,7 +228,7 @@ class TestLossNbi:
         fd = fd_grad(
             lambda x: loss_nbi(SimilarityMatrix(x, temperature=0.5), h, ns).value,
             scores)
-        assert max_rel_error(out.grad, fd) < 1e-6
+        assert max_rel_error(ns.scatter(out.grad, s.m), fd) < 1e-6
 
     def test_paper_mode_is_p_minus_h(self, rng):
         # the gradient of a mean over n anchors is each anchor's P - H over n
@@ -236,8 +236,7 @@ class TestLossNbi:
         paper = loss_nbi(s, h, ns, GRAD_MODE_PAPER)
         plus = ns.plus_indices
         p = _restricted_softmax(s.scores, plus)
-        np.testing.assert_allclose(
-            s.n * np.take_along_axis(paper.grad, plus, axis=1), p - h, atol=1e-12)
+        np.testing.assert_allclose(s.n * paper.grad, p - h, atol=1e-12)
 
     def test_paper_equals_exact_minus_correction(self, rng):
         s, ns, h = self._random_case(rng)
@@ -246,16 +245,28 @@ class TestLossNbi:
         plus = ns.plus_indices
         p = _restricted_softmax(s.scores, plus)
         correction = p * (h.sum(axis=1, keepdims=True) - 1.0)
-        np.testing.assert_allclose(
-            s.n * np.take_along_axis(exact.grad, plus, axis=1) - correction,
-            s.n * np.take_along_axis(paper.grad, plus, axis=1), atol=1e-12)
+        np.testing.assert_allclose(s.n * exact.grad - correction, s.n * paper.grad,
+                                   atol=1e-12)
 
     def test_gradient_zero_outside_neighborhood(self, rng):
+        # the gradient is local, one entry per plus index, and scatters to a
+        # grid that is zero elsewhere
         s, ns, h = self._random_case(rng)
         out = loss_nbi(s, h, ns)
+        assert out.grad.shape == ns.plus_indices.shape
+        grid = ns.scatter(out.grad, s.m)
+        np.testing.assert_array_equal(np.take_along_axis(grid, ns.plus_indices, axis=1),
+                                      out.grad)
         mask = np.ones_like(s.scores, dtype=bool)
         np.put_along_axis(mask, ns.plus_indices, False, axis=1)
-        assert np.all(out.grad[mask] == 0.0)
+        assert np.all(grid[mask] == 0.0)
+
+    def test_scatter_leaves_out_columns_past_m(self):
+        ns = NeighborSet([[3, 1], [0, 4]], ground_truth=[0, 1])
+        values = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        np.testing.assert_array_equal(ns.scatter(values, 5), [[1, 3, 0, 2, 0],
+                                                              [5, 4, 0, 0, 6]])
+        np.testing.assert_array_equal(ns.scatter(values, 2), [[1, 3], [5, 4]])
 
     def test_stationary_at_scaled_targets(self):
         # equal restricted scores give P uniform; with |N+| = 2 that is H/2
@@ -282,8 +293,7 @@ class TestLossNbi:
         exact = loss_nbi(s, h, ns, GRAD_MODE_EXACT)
         np.testing.assert_allclose(exact.grad, 0.0, atol=1e-15)
         paper = loss_nbi(s, h, ns, GRAD_MODE_PAPER)
-        np.testing.assert_allclose(np.take_along_axis(paper.grad, plus, axis=1),
-                                   -h / (2 * n), rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(paper.grad, -h / (2 * n), rtol=1e-13, atol=1e-16)
 
     def test_inconsistent_targets(self, rng):
         s, ns, h = self._random_case(rng)
@@ -326,7 +336,8 @@ class TestBatchedNbiAgainstPerAnchor:
         np.testing.assert_array_equal(ns.members, members)
         out = loss_nbi(s, h, ns, mode)
         assert out.value == pytest.approx(values.mean(), rel=1e-12)
-        np.testing.assert_allclose(out.grad, grad / n, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(ns.scatter(out.grad, n + pool), grad / n,
+                                   rtol=1e-12, atol=1e-15)
 
     def test_rejects_duplicate_member(self):
         with pytest.raises(ValueError, match="distinct"):

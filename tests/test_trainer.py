@@ -125,7 +125,7 @@ class TestGradCheck:
         def no_pool_grad(s, h, ns, mode):
             bundle = real(s, h, ns, mode)
             grad = bundle.grad.copy()
-            grad[:, grad.shape[0]:] = 0.0
+            grad[ns.plus_indices >= s.n] = 0.0
             return LossBundle(bundle.value, grad)
 
         monkeypatch.setattr(tr, "loss_nbi", no_pool_grad)
@@ -404,9 +404,11 @@ class TestStepGrids:
 
 
 class TestEmbeddingGradients:
-    def test_bank_pool_step_is_grid_product_plus_pool_gradient(self, tiny_data):
-        # dL/d(eq) and dL/d(eg) equal dL/dS through S = eq eg^T plus the bank
-        # pool's NBI gradient, bit for bit, each formed as an explicit sum
+    def test_bank_pool_step_is_grid_product_plus_pool_gradient(self, tiny_data,
+                                                                monkeypatch):
+        # dL/d(eq) and dL/d(eg) equal dL/dS through S = eq eg^T, bit for bit,
+        # each formed as an explicit sum, plus the bank pool's NBI gradient,
+        # which is the dense product over the pool columns up to rounding
         config = small_config(neighbor_pool="bank")
         bank = MemoryBank(config.bank_capacity, 6)
         rows = tiny_data.queries.data[:8], tiny_data.galleries.data[8:]
@@ -414,18 +416,27 @@ class TestEmbeddingGradients:
             push_batch(bank, EmbeddingSet(data, modality))
         eq, eg = tiny_data.queries.data[8:], tiny_data.galleries.data[:8]
         targets, _ = tr.compute_targets(config, bank, eq, eg)
+        pool_grads = []
+        real = tr._pool_gradient
+        monkeypatch.setattr(tr, "_pool_gradient",
+                            lambda *args: pool_grads.append(real(*args)) or pool_grads[-1])
         value, _, d_eq, d_eg = tr.batch_loss(config, eq, eg, targets)
+        assert len(pool_grads) == 2
 
         b, scores = 8, eq @ eg.T
         total, grad, extra = 0.0, None, {}
-        for name, anchors, dir_scores in (("q2g", eq, scores), ("g2q", eg, scores.T)):
+        for (name, anchors, dir_scores), pool_grad in zip(
+                (("q2g", eq, scores), ("g2q", eg, scores.T)), pool_grads):
             t = targets.directions[name]
             s = SimilarityMatrix(dir_scores, config.temperature)
             cand = SimilarityMatrix(np.concatenate([dir_scores, anchors @ t.pool.T], axis=1),
                                     config.temperature)
-            nbi = loss_nbi(cand, t.nbi[1], t.nbi[0], config.grad_mode)
-            extra[name] = 0.5 * (nbi.grad[:, b:] @ t.pool)
-            for part in (loss_wti(s, t.weights), LossBundle(nbi.value, nbi.grad[:, :b]),
+            ns, h = t.nbi
+            nbi = loss_nbi(cand, h, ns, config.grad_mode)
+            dense = ns.scatter(nbi.grad, cand.m)
+            np.testing.assert_allclose(pool_grad, dense[:, b:] @ t.pool, rtol=0, atol=1e-15)
+            extra[name] = 0.5 * pool_grad
+            for part in (loss_wti(s, t.weights), LossBundle(nbi.value, dense[:, :b]),
                          loss_opt(s, t.opt)):
                 total += part.value
                 g = part.grad if name == "q2g" else part.grad.T
@@ -434,6 +445,44 @@ class TestEmbeddingGradients:
         assert value == 0.5 * total
         np.testing.assert_array_equal(d_eq, grad_s @ eg + extra["q2g"])
         np.testing.assert_array_equal(d_eg, grad_s.T @ eq + extra["g2q"])
+
+
+class TestRunBuffers:
+    def test_grid_in_buffer_equals_concatenation(self, tiny_data):
+        config = small_config(neighbor_pool="bank")
+        bank = MemoryBank(config.bank_capacity, 6)
+        push_batch(bank, EmbeddingSet(tiny_data.queries.data[:8], "query"))
+        push_batch(bank, EmbeddingSet(tiny_data.galleries.data[3:13], "gallery"))
+        eq, eg = tiny_data.queries.data[8:], tiny_data.galleries.data[8:]
+        targets, grids = tr.compute_targets(config, bank, eq, eg)
+        for name, anchors, dir_scores in (("q2g", eq, eq @ eg.T), ("g2q", eg, (eq @ eg.T).T)):
+            expected = np.concatenate([dir_scores, anchors @ targets.directions[name].pool.T],
+                                      axis=1)
+            got = grids.candidates[name].scores
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), name
+
+    def test_train_steps_share_the_run_buffers(self, tiny_data, monkeypatch):
+        made, steps = [], []
+        real_buffers, real_targets = tr._run_buffers, tr.compute_targets
+        monkeypatch.setattr(tr, "_run_buffers",
+                            lambda *args: made.append(real_buffers(*args)) or made[-1])
+
+        def spy(*args, **kwargs):
+            targets, grids = real_targets(*args, **kwargs)
+            steps.append(dict(grids.candidates))
+            return targets, grids
+
+        monkeypatch.setattr(tr, "compute_targets", spy)
+        train(small_config(neighbor_pool="bank"), tiny_data)
+        assert len(made) == 1 and len(steps) == 4
+        # the first step meets an empty bank, so its grids have no pool columns
+        assert not any(np.shares_memory(s.scores, made[0].grids[name])
+                       for name, s in steps[0].items())
+        for step in steps[1:3]:
+            for name, s in step.items():
+                assert np.shares_memory(s.scores, made[0].grids[name]), name
+        assert not np.shares_memory(steps[1]["q2g"].scores, steps[1]["g2q"].scores)
 
 
 class TestAdam:
