@@ -158,8 +158,9 @@ def top_k_indices(scores: np.ndarray, k: int, *,
     A row of at least ``PRUNE_COLUMNS_PER_K * k`` columns first drops every
     column outside its k best groups (see the module docstring). What is
     left goes to ``_partition_top_k``; when k is outside (0, m), the rows
-    are sorted in full. Narrower rows go to ``_threshold_top_k`` instead
-    when ``scratch``, a float64 array of at least n * m entries, is given.
+    are sorted in full. Narrower rows are partitioned whole, in ``scratch``
+    when it is given: a flat array of the scores' dtype with at least n * m
+    entries, which the call overwrites.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -167,9 +168,7 @@ def top_k_indices(scores: np.ndarray, k: int, *,
     if not 0 < k < m:
         return np.argsort(-scores, axis=1, kind="stable")[:, :k]
     if m < PRUNE_COLUMNS_PER_K * k:
-        if scratch is not None:
-            return _threshold_top_k(scores, k, scratch)
-        return _partition_top_k(scores, k)
+        return _partition_top_k(scores, k, scratch)
     c, g = _GROUP_WIDTH, m // _GROUP_WIDTH
     group_max = scores[:, :c * g].reshape(n, c, g).max(axis=1)
     # the partition ranks NaN above every number, so a row with a NaN group
@@ -196,37 +195,18 @@ def top_k_indices(scores: np.ndarray, k: int, *,
     return out
 
 
-def _partition_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+def _partition_top_k(scores: np.ndarray, k: int,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
     """``top_k_indices`` for 0 < k < m without pruning.
 
-    ``np.argpartition`` finds each row's k best columns, which get a stable
-    sort in column order. A row whose k-th score also appears outside them
-    is sorted in full.
-    """
-    m = scores.shape[1]
-    kept = np.sort(np.argpartition(scores, m - k, axis=1)[:, m - k:], axis=1)
-    kept_scores = np.take_along_axis(scores, kept, axis=1)
-    top = np.take_along_axis(kept, np.argsort(-kept_scores, axis=1, kind="stable"),
-                             axis=1)
-    # the partition ranks NaN above every number, so a row holding one keeps
-    # it; its k-th score is then NaN, counts no column, and the row is sorted
-    # in full
-    kth = kept_scores.min(axis=1)
-    tied = np.flatnonzero((scores >= kth[:, None]).sum(axis=1) != k)
-    top[tied] = np.argsort(-scores[tied], axis=1, kind="stable")[:, :k]
-    return top
-
-
-def _threshold_top_k(scores: np.ndarray, k: int, scratch: np.ndarray) -> np.ndarray:
-    """``top_k_indices`` for 0 < k < m from a copy of the scores partitioned
-    in ``scratch``, so no n x m array is allocated.
-
-    Each row keeps the columns that reach its k-th score, in column order,
-    which then get a stable sort. A row that keeps other than k columns, as
-    a tie with its k-th score or a NaN makes it, is sorted in full.
+    A copy of the scores, in ``scratch`` when it is given, is partitioned to
+    find each row's k-th score. Each row keeps the columns that reach it, in
+    column order, which then get a stable sort. A row that keeps other than
+    k columns, as a tie with its k-th score or a NaN makes it, is sorted in
+    full.
     """
     n, m = scores.shape
-    part = scratch[:n * m].reshape(n, m)
+    part = np.empty_like(scores) if scratch is None else scratch[:n * m].reshape(n, m)
     np.copyto(part, scores)
     part.partition(m - k, axis=1)
     # the partition ranks NaN above every number, so a row holding one has a

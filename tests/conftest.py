@@ -45,9 +45,9 @@ def partition_shapes(monkeypatch) -> list:
     shapes = []
     partition = hubness._partition_top_k
 
-    def spy(scores, k):
+    def spy(scores, k, scratch=None):
         shapes.append(scores.shape)
-        return partition(scores, k)
+        return partition(scores, k, scratch)
 
     monkeypatch.setattr(hubness, "_partition_top_k", spy)
     return shapes

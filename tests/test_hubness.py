@@ -85,20 +85,8 @@ class TestKOccurrence:
             k_occurrence(SimilarityMatrix(np.zeros((2, 3))), 4)
 
     # small integer values, so most rows tie, including -0.0 against 0.0;
-    # the stable sort puts NaN last, behind -inf
-    @given(st.one_of(
-        arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
-               elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])),
-        arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
-               elements=st.sampled_from([-np.inf, -1.0, 0.0, 1.0, np.inf, np.nan]))))
-    @settings(max_examples=600, deadline=None)
-    def test_top_k_equals_stable_argsort(self, scores):
-        reference = np.argsort(-scores, axis=1, kind="stable")
-        for k in range(scores.shape[1] + 1):
-            got = top_k_indices(scores, k)
-            assert got.shape == (scores.shape[0], k)
-            np.testing.assert_array_equal(got, reference[:, :k])
-
+    # the stable sort puts NaN last, behind -inf; then untied values with NaN.
+    # Each k runs with and without a scratch buffer for the partitioned copy
     @given(st.one_of(
         arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
                elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])),
@@ -107,14 +95,13 @@ class TestKOccurrence:
         arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
                elements=st.floats(-1.0, 1.0) | st.just(np.nan))))
     @settings(max_examples=600, deadline=None)
-    def test_top_k_with_scratch_equals_stable_argsort(self, scores):
-        # the selection that partitions a copy in a caller's buffer
+    def test_top_k_equals_stable_argsort(self, scores):
         reference = np.argsort(-scores, axis=1, kind="stable")
         scratch = np.empty(scores.size + 5)
         for k in range(scores.shape[1] + 1):
-            got = top_k_indices(scores, k, scratch=scratch)
-            assert got.shape == (scores.shape[0], k)
-            np.testing.assert_array_equal(got, reference[:, :k])
+            for got in (top_k_indices(scores, k), top_k_indices(scores, k, scratch=scratch)):
+                assert got.shape == (scores.shape[0], k)
+                np.testing.assert_array_equal(got, reference[:, :k])
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0, got -1"):

@@ -53,7 +53,9 @@ def test_traced_train_counts_and_uninstall(tmp_path, capsys):
     assert metrics["trainer.steps"] == 2
     for counter in ("losses.nbi_calls", "losses.select_calls"):
         assert metrics[counter] == 2 * metrics["trainer.steps"], counter
-    assert 0 < metrics["losses.nbi_useful_ratio"] <= 1
+    # loss_nbi returns one gradient entry per anchor and plus index, all useful
+    assert metrics["losses.nbi_useful_ratio"] == 1.0
+    assert metrics["losses.nbi_grad_bytes"] == metrics["losses.nbi_calls"] * 16 * (3 + 1) * 8
     # use_opt is on by default: one solve per step, read from each TransportPlan
     assert metrics["transport.sinkhorn_calls"] == metrics["trainer.steps"]
     assert metrics["transport.sinkhorn_iters"] >= metrics["trainer.steps"]
