@@ -379,28 +379,28 @@ class _RunBuffers:
 
     Each is flat, and a step takes a contiguous view of its leading entries
     (``_view``), so a smaller last batch or a bank that is still filling
-    fits. With NBI on, ``scratch`` holds the copy of a candidate grid that
-    neighbor selection partitions; with the bank pool on, ``grids`` holds
-    one candidate grid per direction. Both are batch x (batch +
-    ``bank_capacity``), or batch x batch for the batch pool. ``gathered``
-    holds each anchor's k + 1 candidate rows of the bank pool gradient,
-    batch x (k_neighbors + 1) x dim.
+    fits. With the bank pool on, ``grids`` holds one candidate grid per
+    direction, batch x (batch + ``bank_capacity``). With NBI on,
+    ``scratch`` first holds the copy of a candidate grid that neighbor
+    selection partitions, then, in ``batch_loss``, each anchor's k + 1
+    gathered bank-pool rows, batch x (k_neighbors + 1) x dim; it is as large
+    as the larger of the two (batch x batch for the batch pool, which
+    gathers nothing).
     """
 
     grids: dict  # "q2g" / "g2q" -> flat array
     scratch: np.ndarray | None
-    gathered: np.ndarray | None
 
 
 def _run_buffers(config: TrainConfig, batch: int, dim: int) -> _RunBuffers:
     """Buffers for steps of at most ``batch`` rows of ``dim`` columns."""
     if not config.use_nbi:
-        return _RunBuffers({}, None, None)
+        return _RunBuffers({}, None)
     if config.neighbor_pool == POOL_BATCH:
-        return _RunBuffers({}, np.empty(batch * batch), None)
-    size = batch * (batch + config.bank_capacity)
-    return _RunBuffers({name: np.empty(size) for name in ("q2g", "g2q")}, np.empty(size),
-                       np.empty(batch * (config.k_neighbors + 1) * dim))
+        return _RunBuffers({}, np.empty(batch * batch))
+    width = batch + config.bank_capacity
+    return _RunBuffers({name: np.empty(batch * width) for name in ("q2g", "g2q")},
+                       np.empty(batch * max(width, (config.k_neighbors + 1) * dim)))
 
 
 def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
@@ -535,7 +535,7 @@ def batch_loss(config: TrainConfig, eq: np.ndarray, eg: np.ndarray,
             part["nbi"] = LossBundle(nbi.value, ns.scatter(nbi.grad, b))
             if target.pool is not None:
                 pool_grads[name] = 0.5 * _pool_gradient(ns, nbi.grad, target.pool, b,
-                                                        grids.buffers.gathered)
+                                                        grids.buffers.scratch)
         if config.use_opt:
             part["opt"] = loss_opt(s, target.opt)
 
