@@ -379,13 +379,13 @@ class _RunBuffers:
 
     Each is flat, and a step takes a contiguous view of its leading entries
     (``_view``), so a smaller last batch or a bank that is still filling
-    fits. With the bank pool on, ``grids`` holds one candidate grid per
-    direction, batch x (batch + ``bank_capacity``). With NBI on,
-    ``scratch`` first holds the copy of a candidate grid that neighbor
-    selection partitions, then, in ``batch_loss``, each anchor's k + 1
-    gathered bank-pool rows, batch x (k_neighbors + 1) x dim; it is as large
-    as the larger of the two (batch x batch for the batch pool, which
-    gathers nothing).
+    fits. Both are there only with NBI on and the bank pool. ``grids``
+    holds one candidate grid per direction, batch x (batch +
+    ``bank_capacity``). ``scratch`` first holds the copy of a candidate grid
+    that neighbor selection partitions, then, in ``batch_loss``, each
+    anchor's k + 1 gathered bank-pool rows, batch x (k_neighbors + 1) x dim;
+    it is as large as the larger of the two. The batch pool's b x b grid is
+    the batch scores themselves, and its selection copies them afresh.
     """
 
     grids: dict  # "q2g" / "g2q" -> flat array
@@ -394,10 +394,8 @@ class _RunBuffers:
 
 def _run_buffers(config: TrainConfig, batch: int, dim: int) -> _RunBuffers:
     """Buffers for steps of at most ``batch`` rows of ``dim`` columns."""
-    if not config.use_nbi:
+    if not config.use_nbi or config.neighbor_pool == POOL_BATCH:
         return _RunBuffers({}, None)
-    if config.neighbor_pool == POOL_BATCH:
-        return _RunBuffers({}, np.empty(batch * batch))
     width = batch + config.bank_capacity
     return _RunBuffers({name: np.empty(batch * width) for name in ("q2g", "g2q")},
                        np.empty(batch * max(width, (config.k_neighbors + 1) * dim)))
