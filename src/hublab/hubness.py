@@ -20,6 +20,9 @@ of another group scores below t, so it can neither enter the top k nor tie
 with the k-th score. A row where more than k groups reach t, or where a
 group maximum is NaN, is partitioned whole. Narrower rows are always
 partitioned whole; there, finding the best groups costs more than it saves.
+On planted-hub cosine scores (numpy 2.4, one core), pruning was slower at
+30.5 columns per k (128x640, k 21: 0.39 against 0.37 ms) and faster from
+34.1 (256x512, k 15: 0.58 against 0.61 ms), so the gate sits at 32.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ ATKINSON_EPSILON = 0.5
 # top_k_indices prunes a row by groups of _GROUP_WIDTH columns when it has
 # at least PRUNE_COLUMNS_PER_K columns per wanted one
 _GROUP_WIDTH = 8
-PRUNE_COLUMNS_PER_K = 64
+PRUNE_COLUMNS_PER_K = 32
 
 
 @dataclass
@@ -150,17 +153,14 @@ class RelevanceLabels:
         return np.stack(np.divmod(self.keys, self.shape[1]), axis=1).tolist()
 
 
-def top_k_indices(scores: np.ndarray, k: int, *,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
+def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Row-wise top-k column indices by descending score, ties to lower index,
     equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``.
 
     A row of at least ``PRUNE_COLUMNS_PER_K * k`` columns first drops every
     column outside its k best groups (see the module docstring). What is
     left goes to ``_partition_top_k``; when k is outside (0, m), the rows
-    are sorted in full. Narrower rows are partitioned whole, in ``scratch``
-    when it is given: a flat array of the scores' dtype with at least n * m
-    entries, which the call overwrites.
+    are sorted in full. Narrower rows are partitioned whole.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -168,7 +168,7 @@ def top_k_indices(scores: np.ndarray, k: int, *,
     if not 0 < k < m:
         return np.argsort(-scores, axis=1, kind="stable")[:, :k]
     if m < PRUNE_COLUMNS_PER_K * k:
-        return _partition_top_k(scores, k, scratch)
+        return _partition_top_k(scores, k)
     c, g = _GROUP_WIDTH, m // _GROUP_WIDTH
     group_max = scores[:, :c * g].reshape(n, c, g).max(axis=1)
     # the partition ranks NaN above every number, so a row with a NaN group
@@ -195,20 +195,16 @@ def top_k_indices(scores: np.ndarray, k: int, *,
     return out
 
 
-def _partition_top_k(scores: np.ndarray, k: int,
-                     scratch: np.ndarray | None = None) -> np.ndarray:
+def _partition_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """``top_k_indices`` for 0 < k < m without pruning.
 
-    A copy of the scores, in ``scratch`` when it is given, is partitioned to
-    find each row's k-th score. Each row keeps the columns that reach it, in
-    column order, which then get a stable sort. A row that keeps other than
-    k columns, as a tie with its k-th score or a NaN makes it, is sorted in
-    full.
+    A partitioned copy of the scores gives each row's k-th score. Each row
+    keeps the columns that reach it, in column order, which then get a
+    stable sort. A row that keeps other than k columns, as a tie with its
+    k-th score or a NaN makes it, is sorted in full.
     """
     n, m = scores.shape
-    part = np.empty_like(scores) if scratch is None else scratch[:n * m].reshape(n, m)
-    np.copyto(part, scores)
-    part.partition(m - k, axis=1)
+    part = np.partition(scores, m - k, axis=1)
     # the partition ranks NaN above every number, so a row holding one has a
     # k-th score (or NaN) that fewer than k columns reach
     keep = scores >= part[:, m - k, None]

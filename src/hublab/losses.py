@@ -109,13 +109,11 @@ def loss_wti(s: SimilarityMatrix, w: np.ndarray) -> LossBundle:
 
 
 def select_neighbors(s: SimilarityMatrix, k: int,
-                     ground_truth: np.ndarray | None = None, *,
-                     scratch: np.ndarray | None = None) -> NeighborSet:
+                     ground_truth: np.ndarray | None = None) -> NeighborSet:
     """Top-k columns of every row by raw score, each row's ground truth excluded.
 
     ``ground_truth`` holds one column per row and defaults to the diagonal.
     Ties break toward the lower column index; k is clamped to m - 1.
-    ``scratch`` goes to ``top_k_indices``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -127,7 +125,7 @@ def select_neighbors(s: SimilarityMatrix, k: int,
     if np.any((gt < 0) | (gt >= s.m)):
         raise ValueError(f"a ground-truth column lies outside [0, {s.m})")
     k = min(k, s.m - 1)
-    top = top_k_indices(s.scores, k + 1, scratch=scratch)
+    top = top_k_indices(s.scores, k + 1)
     drop = top == gt[:, None]
     # a row whose ground truth is not among its top k+1 drops its last column
     drop[~drop.any(axis=1), -1] = True

@@ -381,11 +381,9 @@ class _RunBuffers:
     (``_view``), so a smaller last batch or a bank that is still filling
     fits. Both are there only with NBI on and the bank pool. ``grids``
     holds one candidate grid per direction, batch x (batch +
-    ``bank_capacity``). ``scratch`` first holds the copy of a candidate grid
-    that neighbor selection partitions, then, in ``batch_loss``, each
-    anchor's k + 1 gathered bank-pool rows, batch x (k_neighbors + 1) x dim;
-    it is as large as the larger of the two. The batch pool's b x b grid is
-    the batch scores themselves, and its selection copies them afresh.
+    ``bank_capacity``). ``scratch`` holds, in ``batch_loss``, each anchor's
+    k + 1 gathered bank-pool rows, batch x (k_neighbors + 1) x dim. The
+    batch pool's b x b grid is the batch scores themselves.
     """
 
     grids: dict  # "q2g" / "g2q" -> flat array
@@ -398,7 +396,7 @@ def _run_buffers(config: TrainConfig, batch: int, dim: int) -> _RunBuffers:
         return _RunBuffers({}, None)
     width = batch + config.bank_capacity
     return _RunBuffers({name: np.empty(batch * width) for name in ("q2g", "g2q")},
-                       np.empty(batch * max(width, (config.k_neighbors + 1) * dim)))
+                       np.empty(batch * (config.k_neighbors + 1) * dim))
 
 
 def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
@@ -491,7 +489,7 @@ def compute_targets(config: TrainConfig, bank: MemoryBank, eq: np.ndarray,
                 cross = np.concatenate([cross, _queue_centrality(pool, anchor_mean)])
             s = grids.candidates[name] = _candidate_grid(
                 config, anchors, dir_scores, pool, grids.buffers.grids.get(name))
-            ns = select_neighbors(s, config.k_neighbors, scratch=grids.buffers.scratch)
+            ns = select_neighbors(s, config.k_neighbors)
             nbi = ns, neighbor_targets(s, ns, cross)
         opt = blend_targets(plans[name], config.beta) if config.use_opt else None
         directions[name] = _Direction(weights, pool, nbi, opt)

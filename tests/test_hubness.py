@@ -85,8 +85,7 @@ class TestKOccurrence:
             k_occurrence(SimilarityMatrix(np.zeros((2, 3))), 4)
 
     # small integer values, so most rows tie, including -0.0 against 0.0;
-    # the stable sort puts NaN last, behind -inf; then untied values with NaN.
-    # Each k runs with and without a scratch buffer for the partitioned copy
+    # the stable sort puts NaN last, behind -inf; then untied values with NaN
     @given(st.one_of(
         arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
                elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])),
@@ -97,11 +96,10 @@ class TestKOccurrence:
     @settings(max_examples=600, deadline=None)
     def test_top_k_equals_stable_argsort(self, scores):
         reference = np.argsort(-scores, axis=1, kind="stable")
-        scratch = np.empty(scores.size + 5)
         for k in range(scores.shape[1] + 1):
-            for got in (top_k_indices(scores, k), top_k_indices(scores, k, scratch=scratch)):
-                assert got.shape == (scores.shape[0], k)
-                np.testing.assert_array_equal(got, reference[:, :k])
+            got = top_k_indices(scores, k)
+            assert got.shape == (scores.shape[0], k)
+            np.testing.assert_array_equal(got, reference[:, :k])
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0, got -1"):
@@ -117,7 +115,7 @@ class TestKOccurrence:
 
 @st.composite
 def wide_rows(draw):
-    """1-4 rows of 64-600 columns and a k with m >= PRUNE_COLUMNS_PER_K * k.
+    """1-4 rows of up to 600 columns and a k with m >= PRUNE_COLUMNS_PER_K * k.
 
     Each row holds k to 3k spikes from a small set of values over a lower
     background, so the k-th score ties inside a group, across groups and at
@@ -149,9 +147,13 @@ class TestPrunedTopK:
         for j in range(1, k + 1):
             np.testing.assert_array_equal(top_k_indices(scores, j), reference[:, :j])
 
+    # the bank-pool grids of 128 + 128j columns at k_neighbors + 1 = 21, the
+    # 512-column blocks of train's reports and the analyze and retrieve
+    # blocks at k 15 and 10; 640 is the widest bank-pool grid kept whole
     @pytest.mark.parametrize("m, k, prunes", [(3000, 15, True), (3000, 10, True),
-                                              (1152, 21, False), (512, 15, False),
-                                              (128, 15, False)])
+                                              (1152, 21, True), (768, 21, True),
+                                              (640, 21, False), (256, 21, False),
+                                              (512, 15, True), (128, 15, False)])
     def test_gate(self, partition_shapes, rng, m, k, prunes):
         scores = rng.normal(size=(3, m))
         np.testing.assert_array_equal(top_k_indices(scores, k),
