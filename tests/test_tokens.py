@@ -97,6 +97,16 @@ class TestDpcKnnMerge:
         assert out.weights.sum() == pytest.approx(1.0)
         np.testing.assert_allclose(out.weights, 0.5, atol=1e-12)
 
+    def test_zero_weight_cluster_takes_the_plain_mean(self):
+        # two far-apart pairs; the pair at -5 has no weight to average by
+        points = np.array([[5.0, 0.0], [5.0, 0.2], [-5.0, 0.0], [-5.0, 0.6]])
+        tokens = TokenSet(points, weights=[0.5, 0.5, 0.0, 0.0])
+        np.testing.assert_array_equal(cluster_assignments(tokens, 2, k_density=1),
+                                      [0, 0, 1, 1])
+        out = dpc_knn_merge(tokens, 2, k_density=1)
+        np.testing.assert_allclose(out.tokens, [[5.0, 0.1], [-5.0, 0.3]], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(out.weights, [1.0, 0.0])
+
     def test_output_count_and_weight_sum(self, rng):
         tokens = TokenSet(rng.normal(size=(12, 4)))
         for c in (1, 3, 7, 12):

@@ -219,6 +219,22 @@ class TestTraining:
         s = cosine_similarity_matrix(result.queries, result.galleries)
         assert s.scores.min() >= -1 - 1e-9 and s.scores.max() <= 1 + 1e-9
 
+    def test_one_row_batch_is_skipped(self, monkeypatch):
+        # 17 pairs in batches of 8 leave a last batch of one row each epoch,
+        # which takes no step and adds no loss-curve row
+        data = synth_generate(17, 6, 0.25, 0.5, 0.6, 7)
+        sizes = []
+        real = tr.compute_targets
+
+        def spy(config, bank, eq, eg, **kw):
+            sizes.append(eq.shape[0])
+            return real(config, bank, eq, eg, **kw)
+
+        monkeypatch.setattr(tr, "compute_targets", spy)
+        result = train(small_config(), data)
+        assert [row["step"] for row in result.loss_curve] == [0, 1, 2, 3]
+        assert sizes == [8] * 4
+
     def test_loss_curve_columns(self, tiny_data):
         result = train(small_config(), tiny_data)
         from hublab.trainer import CURVE_COLUMNS

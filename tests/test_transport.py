@@ -352,6 +352,30 @@ class TestNewtonFinish:
         _check_newton_finish(plan, scores, 0.01, 1e-9)
         np.testing.assert_allclose(plan.q.sum(axis=1), 1.0 / n, rtol=0, atol=1e-9)
 
+    def test_failed_solve_is_a_rejected_step(self, monkeypatch):
+        # the first Newton solve raises; the step is counted and rejected,
+        # and the solve goes back to NEWTON_AFTER sweeps before the next one
+        scores, epsilon = _cosine_grid(8, 12, 12, 300.0)
+        solve = np.linalg.solve
+        calls = []
+
+        def failing_once(a, b):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_once)
+        plan = sinkhorn_plan(SimilarityMatrix(scores), epsilon, 1e-9, 2000)
+        history = plan.residual_history
+        assert plan.newton_steps == len(calls) > 1
+        assert history[NEWTON_AFTER] == history[NEWTON_AFTER - 1]
+        assert plan.iterations_used > 2 * NEWTON_AFTER
+        n, m = scores.shape
+        assert plan.residual <= 1e-9 and not plan.warning
+        np.testing.assert_allclose(plan.q.sum(axis=0), 1.0 / m, rtol=0, atol=1e-14)
+        assert np.abs(plan.q.sum(axis=1) - 1.0 / n).sum() <= plan.residual + 1e-14
+
     def test_wide_grid_takes_no_newton_step(self):
         # 500 epsilons wide: past the switch, but plain sweeps throughout
         scores, epsilon = _cosine_grid(7, 10, 14, 500.0)
