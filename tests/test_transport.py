@@ -360,7 +360,7 @@ class TestNewtonFinish:
         calls = []
 
         def failing_once(a, b):
-            calls.append(len(calls))
+            calls.append(a.shape)
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("singular matrix")
             return solve(a, b)
