@@ -16,15 +16,30 @@ report goes into CHANGES.md.
 ``SIMULATE_DIGESTS`` pins the bytes that ``simulate --seed 1`` writes for
 the benchmark's three inputs. Nothing regenerates them: a change to those
 bytes changes what every benchmark workload runs on.
+
+``ARTIFACT_DIGESTS`` pins the sha256 of every file that ``analyze``,
+``retrieve``, ``probe`` and ``train`` write on those inputs. The commands
+run in a subprocess at one BLAS thread, because ``train``'s
+``loss_curve.csv`` differs in its last bits between one and two threads;
+so that file is pinned too. ``python tests/test_golden.py`` prints every
+pinned file that moved, and the dict to paste in its place, before it
+regenerates the recording; a change that moves artifact bytes on purpose
+updates ``ARTIFACT_DIGESTS`` in a commit of its own.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hublab
 from hublab import TrainConfig, synth_generate, train
 from hublab.cli import main
 from hublab.config import config_digest, resolve_config, train_config_from
@@ -66,6 +81,91 @@ SIMULATE_DIGESTS = {
     3000: ({},
            "ba2b5ef6a09b6fd393cb2738e58313d6bac2002be1f51e89b0a62a1cc33da3ce",
            "6e29ce041c27264098f9deaa0d71d14017cee8f74bbf92bd935d33e596cc4753"),
+}
+
+
+# the benchmark's two train configs, by workload name
+TRAIN_CONFIGS = {
+    "train-sinkhorn": {"learning_rate": 0.02, "epochs": 2, "seed": 0,
+                       "epsilon_sinkhorn": 0.03},
+    "train-bankpool": {"learning_rate": 0.01, "epochs": 3, "seed": 0,
+                       "use_opt": False, "neighbor_pool": "bank",
+                       "bank_capacity": 1024},
+}
+
+
+def _inputs(n_pairs: int) -> list:
+    return ["--queries", f"in{n_pairs}/queries.emb",
+            "--galleries", f"in{n_pairs}/galleries.emb"]
+
+
+# each pinned case's command, run in order in one working directory that
+# holds the simulate outputs as in<n_pairs>/ and each case's artifacts in a
+# directory named after it; every path is relative, so the configuration
+# stamped into each JSON file does not depend on where the test runs
+PINNED = {
+    "analyze": ["analyze", *_inputs(3000), "--k", "15"],
+    "retrieve-simi": ["retrieve", *_inputs(3000), "--mode", "simi"],
+    "retrieve-simi-cent": ["retrieve", *_inputs(3000), "--mode", "simi-cent"],
+    "retrieve-simi-cent-bank": ["retrieve", *_inputs(3000), "--mode", "simi-cent",
+                                "--bank", "in512/galleries.emb"],
+    "probe": ["probe", "--texts", "in512/queries.emb"],
+    "retrieve-simi-labels": ["retrieve", *_inputs(512), "--mode", "simi",
+                             "--labels", "probe/labels.json"],
+    "retrieve-simi-cent-labels": ["retrieve", *_inputs(512), "--mode", "simi-cent",
+                                  "--labels", "probe/labels.json"],
+    "train-sinkhorn": ["train", *_inputs(128), "--config", "train-sinkhorn.json"],
+    "train-bankpool": ["train", *_inputs(512), "--config", "train-bankpool.json"],
+}
+
+ARTIFACT_DIGESTS = {
+    "analyze": {
+        "histogram.csv": "513f3ea59e95331f45c2d662cf84f2480e5d1c62e37a325af7a6bb35cc78d95e",
+        "report.json": "4202e51ef51770ddc16e0b5ca9b2f625d7064b556481ca256407d0d72ee196c0"
+    },
+    "retrieve-simi": {
+        "ranked.csv": "491f2911cfd3ee0757731dde489fb7fedd9ce2de9dff0ea9506893cc97b2e795",
+        "retrieval.json": "fca86fec79f3ae413bee92424dc5650ae86cbd2a47abf2d9e7de3ab2557533cd"
+    },
+    "retrieve-simi-cent": {
+        "ranked.csv": "8a79dfb675457af1219213ded5457c1e8e8080288e732d0c09f5b64917dbb5e6",
+        "retrieval.json": "ce7355ddded28544378852c9744e1dda7ff9f1682a94ceae0f32de9ca88c6664"
+    },
+    "retrieve-simi-cent-bank": {
+        "ranked.csv": "df48246e92d175f43e5090e49945d0d68525e8dfeac6305cb79a620e7cfb4dac",
+        "retrieval.json": "2f9784971d1dea299c04a80c40e58e43d238ffcbe30998468111c4158da214b4"
+    },
+    "probe": {
+        "labels.json": "0a303ae01f66f15d41743bf2ce3424e86e7b4499519d244bc81c5792a2aa0b58"
+    },
+    "retrieve-simi-labels": {
+        "ranked.csv": "4fa97f1eab3939d4b27119a1f82fa2f70dca5640ae45f1fe27e4ca502d4ac047",
+        "retrieval.json": "e2e8094c2a7aee12fb2a4d095cb284429c46c8010c5bb91554fbf00ad4e62bb9"
+    },
+    "retrieve-simi-cent-labels": {
+        "ranked.csv": "e30c9583930e7762e75ae7874c46e8c521df81fe96d234042701a951643dd6a5",
+        "retrieval.json": "3a0afd9071f1ea5a1fe6d41297f9af583e93ada2ab3094b789aa15220e07d703"
+    },
+    "train-sinkhorn": {
+        "loss_curve.csv": "2277491829c6cc6004020008a680c9c87e78ce4c756a1b7e4d6d5f0156e17c5d",
+        "report_after.json": "ed2e78ce8dad9f60df351aa1c2ddc173d2e4d853db628955abbafe274d3c7fa1",
+        "report_before.json": "99accd569281bb9f4fe3324572f2f022acb2c8e5064557adffcf237e6c5487fa",
+        "resolved_config.json": "ee6beb79957a21affa0ca2b241195197c1ccf268b3ede6ec2501ed86a53b7aa1",
+        "trained_galleries.emb": "8bccc755c8321fb098f487610c6e8087189798894c8646270b2cfb160d1ceb82",
+        "trained_galleries.meta.json": "f28be07a7f805baddebc38c1a87160a6d96ebfbb6371ccaf762d935b97feec3c",
+        "trained_queries.emb": "26bcc8b41c6623168830d8646dedbd04c2d5e91c0a705963bea7d6b7ed6b775d",
+        "trained_queries.meta.json": "81100195a4e7791b7ac4dd0087722b2fc8ab3953f75b82ab6cdee2388086f8f0"
+    },
+    "train-bankpool": {
+        "loss_curve.csv": "3055d8a8b901832f1c3942c5d6c470db4a4f93a860637939148406cf55ba2e07",
+        "report_after.json": "574d7a6880c51c5586c7683d1e75ed793f909dcd0ab1c8b8aad36b28ac240286",
+        "report_before.json": "21b2b38c76f6c83e9a5675586c5a7c47ccda8bed652853f8b531cea8a7dc6ae8",
+        "resolved_config.json": "cf6ac09e4fda0d389e76ba170afeaac8d2e6e7f496eb642bf747c641381f70b3",
+        "trained_galleries.emb": "984b3b8bec28481d4dd2140c4586f4957fd12ba66451be33a695a2679b6b7c63",
+        "trained_galleries.meta.json": "6e6db209f3e09ba8161448af461130e11480c500bcfb6a42a6c228a45687d43d",
+        "trained_queries.emb": "9fdd54432e31817e7decc99e8972a3973baa7553976e60d5020eff658a6aa377",
+        "trained_queries.meta.json": "4c31c780c221547d9266ec8346f4a820c2a9cc2fd2cbb11d0e1ecac3c7dbcbac"
+    }
 }
 
 
@@ -135,6 +235,51 @@ def test_simulate_bytes(n_pairs, tmp_path, capsys):
         assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
 
 
+def _cli(argv: list) -> Path:
+    """Run one command; return the artifact directory it printed."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(argv) == 0, argv
+    return Path(printed.getvalue().strip())
+
+
+def _run_pinned() -> dict:
+    """Run every PINNED case in the working directory; return the sha256 of
+    each file written, ``{case: {file name: digest}}``."""
+    for n_pairs, (extra, _, _) in SIMULATE_DIGESTS.items():
+        Path("simulate.json").write_text(json.dumps({"n_pairs": n_pairs, **extra}))
+        _cli(["simulate", "--config", "simulate.json", "--seed", "1",
+              "--out", "."]).rename(f"in{n_pairs}")
+    for name, config in TRAIN_CONFIGS.items():
+        Path(f"{name}.json").write_text(json.dumps(config))
+    digests = {}
+    for case, argv in PINNED.items():
+        run = _cli(argv + ["--out", "."]).rename(case)
+        digests[case] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                         for path in sorted(run.iterdir())}
+    return digests
+
+
+def _pinned_digests(work: Path) -> dict:
+    """``_run_pinned`` in a subprocess at one BLAS thread, in ``work``."""
+    src = str(Path(hublab.__file__).parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, __file__, "--pinned"], cwd=work, env=env,
+                          capture_output=True, text=True, timeout=600, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def pinned_digests(tmp_path_factory):
+    return _pinned_digests(tmp_path_factory.mktemp("pinned"))
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_artifact_bytes(pinned_digests, case):
+    assert pinned_digests[case] == ARTIFACT_DIGESTS[case]
+
+
 def _leaves(record: dict) -> dict:
     """Every recorded value of one case by name, ``curve.total`` for a key
     of a nested dict, as a flat list of numbers."""
@@ -162,7 +307,30 @@ def _report(old: dict, new: dict) -> None:
             print(f"{case} {name}: abs {change.max():.2g} rel {rel.max():.2g}")
 
 
-if __name__ == "__main__":
+def _report_artifacts(digests: dict) -> None:
+    """Print each pinned file whose digest moved, then, if any did, the
+    ARTIFACT_DIGESTS to paste in place of the recorded one."""
+    moved = [f"{case}/{name}" for case, files in digests.items()
+             for name, digest in files.items()
+             if ARTIFACT_DIGESTS.get(case, {}).get(name) != digest]
+    moved += [f"{case}/{name} (no longer written)"
+              for case, files in ARTIFACT_DIGESTS.items() for name in files
+              if name not in digests.get(case, {})]
+    for name in moved:
+        print(f"moved: {name}")
+    if moved:
+        print("ARTIFACT_DIGESTS = " + json.dumps(digests, indent=4))
+    else:
+        print(f"all {sum(map(len, digests.values()))} pinned artifacts unchanged")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--pinned"]:
+    print(json.dumps(_run_pinned()))
+elif __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        _report_artifacts(_pinned_digests(Path(work)))
     recording = {case: _record(case) for case in sorted(CASES)}
     _report(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}, recording)
     GOLDEN.write_text(json.dumps(recording, sort_keys=True, indent=1) + "\n")
