@@ -34,7 +34,7 @@ from .config import (
 )
 # cosine_similarity_matrix is not called here, but benchmarks/spans.py wraps
 # this module's name for it
-from .core import (MODALITY_GALLERY, EmbeddingSet, cosine_blocks,
+from .core import (MODALITY_GALLERY, CosineBlocks, EmbeddingSet, cosine_blocks,
                    cosine_similarity_matrix)
 from .errors import ConfigError, HubLabError
 from .eval import retrieval_eval, infer_simi_cent
@@ -135,9 +135,9 @@ def _csv_cells(values: list) -> list:
 def cmd_analyze(resolved: dict) -> dict:
     if not resolved["queries"] or not resolved["galleries"]:
         raise ConfigError("analyze needs --queries and --galleries")
-    queries = hio.read_embedding_set(resolved["queries"])
-    galleries = hio.read_embedding_set(resolved["galleries"])
-    s = cosine_blocks(queries, galleries)
+    # only the normalized rows that cosine_blocks keeps are read from here on
+    s = cosine_blocks(hio.read_embedding_set(resolved["queries"]),
+                      hio.read_embedding_set(resolved["galleries"]))
     report = hubness_report(s, resolved["k"], resolved["hub_size_factor"],
                             resolved["atkinson_epsilon"])
     return {"report.json": {"report": report},
@@ -165,43 +165,52 @@ def cmd_train(resolved: dict) -> dict:
             "trained_galleries.emb": result.galleries}
 
 
+def _minus_bank_centrality(s: CosineBlocks, galleries: EmbeddingSet,
+                           bank_path) -> CosineBlocks:
+    """The simi-cent scores: ``s`` minus each gallery item's centrality
+    against a bank of the ``bank_path`` file, or of the galleries. The bank
+    lives only for this call."""
+    stored = hio.read_embedding_set(bank_path) if bank_path else galleries
+    if stored.modality != MODALITY_GALLERY:
+        raise ConfigError("simi-cent bank must hold gallery-side embeddings")
+    return infer_simi_cent(s, galleries,
+                           push_batch(MemoryBank(stored.n, galleries.dim), stored))
+
+
 def cmd_retrieve(resolved: dict) -> dict:
     if not resolved["queries"] or not resolved["galleries"]:
         raise ConfigError("retrieve needs --queries and --galleries")
     queries = hio.read_embedding_set(resolved["queries"])
     galleries = hio.read_embedding_set(resolved["galleries"])
+    query_ids = _csv_cells(queries.ids or [f"q{i:05d}" for i in range(queries.n)])
+    gallery_ids = _csv_cells(galleries.ids or [f"g{j:05d}" for j in range(galleries.n)])
     s = cosine_blocks(queries, galleries)
+    # s holds the rows normalized; of the raw ones, only the id cells are read
+    del queries
     if resolved["mode"] == "simi-cent":
-        stored = hio.read_embedding_set(resolved["bank"]) if resolved["bank"] else galleries
-        if stored.modality != MODALITY_GALLERY:
-            raise ConfigError("simi-cent bank must hold gallery-side embeddings")
-        bank = push_batch(MemoryBank(stored.n, galleries.dim), stored)
-        s = infer_simi_cent(s, galleries, bank)
+        s = _minus_bank_centrality(s, galleries, resolved["bank"])
+    del galleries
     if resolved["labels"]:
         labels = _load_labels(resolved["labels"], (s.n, s.m))
     else:
         if s.n != s.m:
             raise ConfigError("without --labels, query and gallery counts must match")
         labels = RelevanceLabels.diagonal(s.n)
-    # ranked.csv's top 10 of each block, read while the block is in memory
-    tops, top_scores = [], []
+    # ranked.csv, one string per block, rendered while the block is in memory
+    text = ["query_id,rank,gallery_id,score\r\n"]
 
-    def keep_top(block, top):
+    def render(rows, block, top):
         top = top[:, :RANKED_TOP]
-        tops.append(top)
-        top_scores.append(np.take_along_axis(block, top, axis=1))
+        heads = [f"{query},{rank}," for query in query_ids[rows]
+                 for rank in range(1, top.shape[1] + 1)]
+        ranked = [gallery_ids[j] for j in top.ravel().tolist()]
+        values = np.take_along_axis(block, top, axis=1).ravel().tolist()
+        text.append("".join([f"{head}{gallery},{value!r}\r\n" for head, gallery, value
+                             in zip(heads, ranked, values)]))
 
-    scores = retrieval_eval(s, labels, keep_top)
-    gallery_ids = _csv_cells(galleries.ids or [f"g{j:05d}" for j in range(s.m)])
-    query_ids = _csv_cells(queries.ids or [f"q{i:05d}" for i in range(s.n)])
-    top = np.concatenate(tops)
-    heads = [f"{query},{rank}," for query in query_ids
-             for rank in range(1, top.shape[1] + 1)]
-    ranked = [gallery_ids[j] for j in top.ravel().tolist()]
-    lines = [f"{head}{gallery},{value!r}\r\n" for head, gallery, value
-             in zip(heads, ranked, np.concatenate(top_scores).ravel().tolist())]
+    scores = retrieval_eval(s, labels, render)
     return {"retrieval.json": {"mode": resolved["mode"], "scores": scores},
-            "ranked.csv": "query_id,rank,gallery_id,score\r\n" + "".join(lines)}
+            "ranked.csv": "".join(text)}
 
 
 def cmd_probe(resolved: dict) -> dict:

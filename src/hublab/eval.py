@@ -30,10 +30,10 @@ def retrieval_eval(s: SimilarityMatrix | CosineBlocks, labels: RelevanceLabels,
     mAP@R and R-Precision are computed per query over its own number of
     relevant items R, then averaged. Each query row is scored inside its
     block from one ``top_k_indices`` call that keeps the largest R or
-    ``max(RECALL_KS)`` columns, whichever is more; ``each_block(scores,
-    top)``, when given, is called with every block's scores and those
-    columns in row order after the block has been scored, so the caller can
-    read both while they are in memory.
+    ``max(RECALL_KS)`` columns, whichever is more; ``each_block(rows,
+    scores, top)``, when given, is called for every block in row order after
+    it has been scored, with the slice of query rows it covers, its scores
+    and those columns, so the caller can read both while they are in memory.
     """
     if labels.shape != (s.n, s.m):
         raise ShapeMismatch(f"labels cover {labels.shape}, scores are {(s.n, s.m)}")
@@ -49,7 +49,7 @@ def retrieval_eval(s: SimilarityMatrix | CosineBlocks, labels: RelevanceLabels,
         parts.append(_score_rows(scores, top, labels, np.arange(rows.start, rows.stop),
                                  r[rows], depth))
         if each_block is not None:
-            each_block(scores, top)
+            each_block(rows, scores, top)
     best_rank, average_precision, r_precision = map(np.concatenate, zip(*parts))
     r_at = {str(k): float(100.0 * (best_rank <= k).mean()) for k in RECALL_KS}
     return {

@@ -138,7 +138,9 @@ class TestRetrievalEval:
         width = max(mask.sum(axis=1).max(), 10)
         tops = []
 
-        def each_block(block, top):
+        def each_block(rows, block, top):
+            # rows tells the callback which query rows the block holds
+            assert (block == scores[rows]).all()
             order = np.argsort(-block, axis=1, kind="stable")
             tops.append(top.shape[1] == width and (top == order[:, :width]).all())
 
