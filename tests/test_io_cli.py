@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import hashlib
 import io
@@ -34,6 +35,24 @@ def tree_digest(directory: Path) -> dict:
             out[str(path.relative_to(directory))] = hashlib.sha256(
                 path.read_bytes()).hexdigest()
     return out
+
+
+def expected_ranked_csv(query_ids: list, gallery_ids: list, scores: np.ndarray) -> bytes:
+    """ranked.csv as csv.writer writes it: each query's ten best galleries by
+    a stable argsort of ``scores``, with the repr of each score."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["query_id", "rank", "gallery_id", "score"])
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :10]
+    for i, row in enumerate(top):
+        writer.writerows([query_ids[i], rank, gallery_ids[j], repr(float(scores[i, j]))]
+                         for rank, j in enumerate(row, 1))
+    return text.getvalue().encode()
+
+
+# ids that csv.writer quotes, doubles a quote in, or writes as text
+SPECIAL_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "café", "漢字",
+               "", " lead", 7, None, 2.5, True]
 
 
 class TestEmbeddingFile:
@@ -291,11 +310,8 @@ class TestCli:
         assert doc["scores"] == expected
 
     def test_ranked_csv_equals_csv_writer(self, tmp_path, capsys, rng):
-        # ids that csv.writer quotes, doubles a quote in, or writes as text
-        special = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "café", "漢字",
-                   "", " lead", 7, None, 2.5, True]
-        query_ids = special + [f"query {i}" for i in range(len(special), 14)]
-        gallery_ids = list(reversed(special)) + [f"g-{i}" for i in range(len(special), 14)]
+        query_ids = SPECIAL_IDS + [f"query {i}" for i in range(len(SPECIAL_IDS), 14)]
+        gallery_ids = list(reversed(SPECIAL_IDS)) + [f"g-{i}" for i in range(len(SPECIAL_IDS), 14)]
         q, g = random_unit_rows(rng, 14, 5), random_unit_rows(rng, 14, 5)
         hio.write_embeddings(tmp_path / "q.emb", q, "query", ids=query_ids)
         hio.write_embeddings(tmp_path / "g.emb", g, "gallery", ids=gallery_ids)
@@ -304,19 +320,36 @@ class TestCli:
                      "--out", str(tmp_path / "ret")]) == 0
         ret_dir = next((tmp_path / "ret").glob("retrieve-*"))
 
-        import csv
-        import hublab
         scores = hublab.cosine_similarity_matrix(
             hio.read_embedding_set(tmp_path / "q.emb"),
             hio.read_embedding_set(tmp_path / "g.emb")).scores
-        top = np.argsort(-scores, axis=1, kind="stable")[:, :10]
-        with open(tmp_path / "expected.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["query_id", "rank", "gallery_id", "score"])
-            for i, row in enumerate(top):
-                writer.writerows([query_ids[i], rank, gallery_ids[j], repr(float(scores[i, j]))]
-                                 for rank, j in enumerate(row, 1))
-        expected = (tmp_path / "expected.csv").read_bytes()
+        expected = expected_ranked_csv(query_ids, gallery_ids, scores)
+        assert (ret_dir / "ranked.csv").read_bytes() == expected
+        assert expected.count(b'"') > 0 and "漢字".encode() in expected
+
+    @pytest.mark.parametrize("mode", ["simi", "simi-cent"])
+    def test_ranked_csv_over_blocks_equals_csv_writer(self, tmp_path, capsys, monkeypatch,
+                                                      rng, mode):
+        # 30 queries make seven blocks of four or five rows, each rendered on
+        # its own; the quoted ids fall in the first three
+        monkeypatch.setattr(hublab.core, "BLOCK_ROWS", 4)
+        query_ids = SPECIAL_IDS + [f"query {i}" for i in range(len(SPECIAL_IDS), 30)]
+        gallery_ids = list(reversed(SPECIAL_IDS)) + [f"g-{i}" for i in range(len(SPECIAL_IDS), 30)]
+        q_path, g_path = tmp_path / "q.emb", tmp_path / "g.emb"
+        hio.write_embeddings(q_path, random_unit_rows(rng, 30, 5), "query", ids=query_ids)
+        hio.write_embeddings(g_path, random_unit_rows(rng, 30, 5), "gallery", ids=gallery_ids)
+        assert main(["retrieve", "--queries", str(q_path), "--galleries", str(g_path),
+                     "--mode", mode, "--out", str(tmp_path / "ret")]) == 0
+        ret_dir = next((tmp_path / "ret").glob("retrieve-*"))
+
+        queries, galleries = hio.read_embedding_set(q_path), hio.read_embedding_set(g_path)
+        s = hublab.cosine_blocks(queries, galleries)
+        if mode == "simi-cent":
+            bank = hublab.push_batch(hublab.MemoryBank(30, 5), galleries)
+            s = hublab.infer_simi_cent(s, galleries, bank)
+        assert len(list(s.blocks())) == 7
+        scores = np.concatenate([block.copy() for _, block in s.blocks()])
+        expected = expected_ranked_csv(query_ids, gallery_ids, scores)
         assert (ret_dir / "ranked.csv").read_bytes() == expected
         assert expected.count(b'"') > 0 and "漢字".encode() in expected
 
@@ -572,7 +605,6 @@ class TestCliAtPruningSize:
     brute-force stable argsort of the scores the program's own blocks make."""
 
     def test_artifacts_equal_stable_argsort(self, tmp_path, capsys, partition_shapes):
-        import csv
         from hublab.hubness import PRUNE_COLUMNS_PER_K
 
         cfg = tmp_path / "cfg.json"
@@ -607,16 +639,9 @@ class TestCliAtPruningSize:
         hublab.push_batch(bank, EmbeddingSet(hio.read_embeddings(g_path)[0], "gallery"))
         scores = dense(hublab.infer_simi_cent(hublab.cosine_blocks(queries, galleries),
                                               galleries, bank))
-        top = np.argsort(-scores, axis=1, kind="stable")[:, :10]
-        with open(tmp_path / "expected.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["query_id", "rank", "gallery_id", "score"])
-            for i, row in enumerate(top):
-                writer.writerows([queries.ids[i], rank, galleries.ids[j],
-                                  repr(float(scores[i, j]))]
-                                 for rank, j in enumerate(row, 1))
         ret_dir = next((tmp_path / "ret").glob("retrieve-*"))
-        assert (ret_dir / "ranked.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert (ret_dir / "ranked.csv").read_bytes() == expected_ranked_csv(
+            queries.ids, galleries.ids, scores)
 
 
 def _probe_argv(probe: str, tmp_path: Path, rng) -> list:

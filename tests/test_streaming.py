@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,3 +103,29 @@ def test_train_reports_below_the_score_grid(tmp_path, rng):
     cfg.write_text(json.dumps({"epochs": 1, "use_nbi": False, "use_opt": False,
                                "learning_rate": 0.01}))
     assert _peak_bytes(["train", "--config", str(cfg)], tmp_path, rng, n) < n * m * 8 / 2
+
+
+@pytest.mark.parametrize("mode", ["simi", "simi-cent"])
+def test_retrieve_peak_memory_near_the_ranked_csv(tmp_path, rng, mode):
+    # 20,000 queries against 64 galleries of 4 dimensions: ranked.csv's
+    # 200,000 lines outweigh the inputs and every score block. Each block's
+    # lines become one string while the block is scored, and the file is
+    # joined once, so the peak stays near twice the file; a list of every
+    # line's string takes several times more
+    n, m = 20000, 64
+    q, g, labels = tmp_path / "q.emb", tmp_path / "g.emb", tmp_path / "labels.json"
+    hio.write_embeddings(q, random_unit_rows(rng, n, 4), "query")
+    hio.write_embeddings(g, random_unit_rows(rng, m, 4), "gallery")
+    labels.write_text(json.dumps({"pairs": [[i, i % m] for i in range(n)]}))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            assert main(["retrieve", "--mode", mode, "--queries", str(q),
+                         "--galleries", str(g), "--labels", str(labels),
+                         "--out", str(tmp_path / "out")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (Path(printed.getvalue().strip()) / "ranked.csv").stat().st_size
+    assert size > 6 * 2**20
+    assert peak < 3 * size
