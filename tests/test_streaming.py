@@ -1,6 +1,8 @@
 """`retrieve`, `analyze` and the hubness reports of `train` score query rows
 a block at a time: the blocked output must equal the one-block output byte
-for byte, and the commands must never hold the whole n x m score grid."""
+for byte, and the commands must never hold the whole n x m score grid.
+`retrieve` renders ranked.csv a block at a time too, so it never holds a
+list of every line."""
 
 import contextlib
 import io
